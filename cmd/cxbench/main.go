@@ -798,8 +798,8 @@ func (b *bench) serve() {
 
 	// Residency under a fixed budget: how many documents each format
 	// keeps servable. The budget is sized to ~2.5 heap-resident copies;
-	// mapped documents charge only touched bytes, so the whole fleet
-	// stays resident.
+	// mapped documents charge their content plus the bytes they have
+	// touched, so the whole fleet stays resident.
 	const fleet = 24
 	resident := func(enc func(io.Writer, *goddag.Document) error, budget int64) (int, int64) {
 		fdir, err := os.MkdirTemp("", "cxbench-fleet")
@@ -846,7 +846,7 @@ func (b *bench) serve() {
 	fmt.Printf("%8s %16s %9s %9s %14s\n", "words", "strategy", "docs", "resident", "bytes")
 	fmt.Printf("%8d %16s %9d %9d %14d\n", b.sizes()[1], "resident-v2", fleet, v2res, v2bytes)
 	fmt.Printf("%8d %16s %9d %9d %14d\n", b.sizes()[1], "resident-v3", fleet, v3res, v3bytes)
-	fmt.Printf("note: resident rows load %d docs under a %d-byte budget (~2.5 heap copies); v3 charges only touched bytes.\n", fleet, budget)
+	fmt.Printf("note: resident rows load %d docs under a %d-byte budget (~2.5 heap copies); v3 charges its content plus the bytes it has touched.\n", fleet, budget)
 	b.rows = append(b.rows,
 		benchRow{Experiment: "SERVE", Words: b.sizes()[1], Hierarchies: 4,
 			Strategy: "resident-v2", Results: v2res, InputBytes: int(v2bytes)},

@@ -27,14 +27,17 @@
 //     header validation — and materialize nodes lazily off the mapping,
 //     so pre-warming would forfeit the microsecond open.
 //   - A byte-budgeted LRU: each resident document is charged its
-//     estimated footprint (goddag.Footprint; for mapped documents only
-//     the resident bytes actually materialized, rechecked on hits);
+//     estimated footprint (goddag.Footprint; for mapped documents their
+//     content plus the bytes actually materialized, rechecked on hits);
 //     when the total exceeds the budget, least-recently-used documents
 //     are dropped. Eviction only forgets the catalog's reference:
 //     queries still running against an evicted document keep a
-//     consistent snapshot and remain valid; memory (and the file
-//     mapping) is reclaimed when they finish. Documents with unsaved
-//     edits (dirty) or an edit in flight are never evicted.
+//     consistent snapshot and remain valid; memory is reclaimed when
+//     they finish. A mapped document holds its file mapping only until
+//     its first query materializes it, so eviction never has a mapping
+//     to wait for (one evicted untouched is unmapped when collected).
+//     Documents with unsaved edits (dirty) or an edit in flight are
+//     never evicted.
 //
 // Documents are editable. Each entry carries a read/write lock: View
 // runs a reader under the read lock (any number in parallel), Update
@@ -195,7 +198,7 @@ type entry struct {
 
 	doc    *core.Document // nil when not resident
 	bytes  int64
-	mapped bool          // resident copy is backed by a file mapping (v3 open)
+	mapped bool          // resident copy was opened mapped (v3), charged its ResidentFootprint
 	elem   *list.Element // position in Catalog.lru, valid while resident
 
 	loads   uint64
@@ -569,9 +572,9 @@ func (c *Catalog) evictLocked() {
 func (c *Catalog) dropLocked(e *entry) {
 	c.lru.Remove(e.elem)
 	c.resident -= e.bytes
-	// Dropping the reference is also what unmaps a mapped document: the
-	// mapping's finalizer releases the pages once the last query holding
-	// the document finishes and the GC collects it.
+	// A mapped document that was ever queried has already released its
+	// file mapping; one dropped untouched is unmapped by the mapping's
+	// backstop finalizer once the GC collects it.
 	e.doc = nil
 	e.bytes = 0
 	e.mapped = false
@@ -726,7 +729,7 @@ type DocStats struct {
 	ID       string   `json:"id"`
 	Paths    []string `json:"paths"`
 	Resident bool     `json:"resident"`
-	Mapped   bool     `json:"mapped,omitempty"` // resident copy is mmap-backed (v3)
+	Mapped   bool     `json:"mapped,omitempty"` // resident copy was opened mapped (v3)
 	Bytes    int64    `json:"bytes,omitempty"`  // footprint estimate while resident
 	Loads    uint64   `json:"loads"`
 	Hits     uint64   `json:"hits"`

@@ -5,7 +5,10 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
+	"runtime/debug"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/corpus"
@@ -13,6 +16,7 @@ import (
 	"repro/internal/faultfs"
 	"repro/internal/goddag"
 	"repro/internal/store"
+	"repro/internal/xpath"
 )
 
 // writeGdagDir builds a catalog directory of n .gdag documents
@@ -44,13 +48,25 @@ func writeGdagDir(t testing.TB, n, words int, enc func(f *os.File, doc *goddag.D
 func encodeV3File(f *os.File, doc *goddag.Document) error { return store.EncodeV3(f, doc) }
 func encodeV2File(f *os.File, doc *goddag.Document) error { return store.Encode(f, doc) }
 
+// poisonedFS is the filesystem of the mapped suites: every mapping it
+// releases is poisoned (PROT_NONE, with faults turned into panics for
+// the test goroutine), so a document that read its file after
+// materializing would fail deterministically.
+func poisonedFS(t testing.TB) faultfs.FS {
+	prev := debug.SetPanicOnFault(true)
+	t.Cleanup(func() { debug.SetPanicOnFault(prev) })
+	inj := faultfs.NewInjector(faultfs.OS)
+	inj.PoisonUnmaps()
+	return inj
+}
+
 // TestMappedLoadServesAndRecharges opens a v3 file through the catalog:
 // the load must come up mapped with a small resident charge, queries
 // must work (materializing lazily), and the charge must grow once the
 // document is touched.
 func TestMappedLoadServesAndRecharges(t *testing.T) {
 	dir := writeGdagDir(t, 1, 400, encodeV3File)
-	c, err := Open(dir, Options{})
+	c, err := Open(dir, Options{FS: poisonedFS(t)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +96,7 @@ func TestMappedLoadServesAndRecharges(t *testing.T) {
 
 	ds, _ = c.Doc("doc0")
 	if !ds.Mapped {
-		t.Fatalf("read-only touch should not unmap: %+v", ds)
+		t.Fatalf("read-only touch should not promote: %+v", ds)
 	}
 	if ds.Bytes <= coldBytes {
 		t.Fatalf("materialization did not grow the charge: %d -> %d", coldBytes, ds.Bytes)
@@ -105,7 +121,7 @@ func mustOpen(t *testing.T, path string) *os.File {
 // estimate) and the save keeps the file v3.
 func TestMappedEditPromotesAndStaysV3(t *testing.T) {
 	dir := writeGdagDir(t, 1, 200, encodeV3File)
-	c, err := Open(dir, Options{})
+	c, err := Open(dir, Options{FS: poisonedFS(t)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +163,7 @@ func TestMappedEditPromotesAndStaysV3(t *testing.T) {
 // fallback) and checks the first committed edit rewrites it as v3.
 func TestV2FileFallsBackAndMigratesOnSave(t *testing.T) {
 	dir := writeGdagDir(t, 1, 200, encodeV2File)
-	c, err := Open(dir, Options{})
+	c, err := Open(dir, Options{FS: poisonedFS(t)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +249,7 @@ func TestMappedResidencyUnderBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	mapDir := writeGdagDir(t, docs, 300, encodeV3File)
-	mapCat, err := Open(mapDir, Options{Budget: budget})
+	mapCat, err := Open(mapDir, Options{Budget: budget, FS: poisonedFS(t)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,4 +277,62 @@ func TestMappedResidencyUnderBudget(t *testing.T) {
 
 func spanAll(g *goddag.Document) document.Span {
 	return document.NewSpan(0, g.Content().Len())
+}
+
+// TestColdLoadsDoNotLeak cold-loads and queries mapped documents 200
+// times under a one-byte budget, so every Get evicts the previous
+// document: the mappings must not pile up (at most the file being
+// loaded is mapped) and the evicted documents must be collectable.
+func TestColdLoadsDoNotLeak(t *testing.T) {
+	dir := writeGdagDir(t, 2, 1000, encodeV3File)
+	st, err := os.Stat(filepath.Join(dir, "doc0.gdag"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fileSize := st.Size() + st.Size()/4 // the two files differ slightly
+	c, err := Open(dir, Options{Budget: 1, FS: poisonedFS(t)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	collect := func() uint64 {
+		for i := 0; i < 100 && store.MappedBytes() != 0; i++ {
+			runtime.GC()
+			time.Sleep(10 * time.Millisecond)
+		}
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	base := collect()
+	count := xpath.MustCompile("count(//w)")
+	var want string
+	for i := 0; i < 200; i++ {
+		doc, err := c.Get(fmt.Sprintf("doc%d", i%2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := store.MappedBytes(); got > fileSize {
+			t.Fatalf("get %d: %d bytes mapped, more than one file (%d)", i, got, fileSize)
+		}
+		v, err := count.Eval(doc.GODDAG())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			want = v.String()
+		} else if i%2 == 0 && v.String() != want {
+			t.Fatalf("get %d: count(//w) = %s, want %s", i, v, want)
+		}
+	}
+	if s := c.Stats(); s.Loads != 200 {
+		t.Fatalf("%d loads for 200 alternating Gets under a one-byte budget", s.Loads)
+	}
+	live := collect()
+	if got := store.MappedBytes(); got != 0 {
+		t.Fatalf("%d bytes mapped after the run", got)
+	}
+	if grew := int64(live) - int64(base); grew > 8<<20 {
+		t.Fatalf("live heap grew %d bytes over 200 cold loads", grew)
+	}
 }

@@ -119,6 +119,7 @@ type Injector struct {
 	mu     sync.Mutex
 	hook   Hook
 	counts map[Op]int
+	poison bool // PoisonUnmaps
 }
 
 // NewInjector wraps inner (typically OS) for fault injection.

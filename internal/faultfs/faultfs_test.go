@@ -5,6 +5,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"runtime/debug"
 	"testing"
 )
 
@@ -126,5 +127,48 @@ func TestFailNth(t *testing.T) {
 		if err := p(OpSync, "x"); !errors.Is(err, errDisk) {
 			t.Fatalf("persistent hook call %d = %v", i, err)
 		}
+	}
+}
+
+var sink byte
+
+// TestPoisonUnmaps: a released mapping must be unusable — a memory
+// mapping faults (a panic under SetPanicOnFault), a heap-fallback
+// buffer reads back as 0xA5 — and both stop counting as mapped.
+func TestPoisonUnmaps(t *testing.T) {
+	defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
+	path := filepath.Join(t.TempDir(), "f")
+	if err := os.WriteFile(path, []byte("mapped bytes"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	base := MappedBytes()
+	for _, inner := range []FS{OS, struct{ FS }{OS}} {
+		in := NewInjector(inner)
+		in.PoisonUnmaps()
+		m, err := Map(in, path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if MappedBytes() != base+int64(len(m.Data)) {
+			t.Fatalf("mapped bytes %d, want %d", MappedBytes(), base+int64(len(m.Data)))
+		}
+		data := m.Data
+		if err := m.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if MappedBytes() != base {
+			t.Fatalf("mapped bytes %d after close, want %d", MappedBytes(), base)
+		}
+		func() {
+			defer func() {
+				if recover() == nil && m.mmap {
+					t.Error("read of a poisoned memory mapping did not fault")
+				}
+			}()
+			sink = data[0]
+			if !m.mmap && sink != 0xA5 {
+				t.Errorf("poisoned heap buffer reads %#x", sink)
+			}
+		}()
 	}
 }

@@ -3,25 +3,39 @@ package faultfs
 import (
 	"fmt"
 	"io"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"syscall"
 )
 
 // The memory-mapping operations. OpMap is the open-without-decode read
-// path of the v3 store; OpUnmap fires when a mapping is released (on
-// catalog eviction, once the document becomes unreachable).
+// path of the v3 store; OpUnmap fires when a mapping is released: as
+// soon as the document built from it has materialized, on an explicit
+// close, or from the backstop finalizer of a mapping dropped unread.
 const (
 	OpMap   Op = "map"
 	OpUnmap Op = "unmap"
 )
 
+// mappedBytes totals the bytes of Mappings returned by Map and not yet
+// released.
+var mappedBytes atomic.Int64
+
+// MappedBytes reports the total bytes currently held by open mappings.
+func MappedBytes() int64 { return mappedBytes.Load() }
+
 // Mapping is a read-only view of a file's contents. Data stays valid
 // until Close. For memory-mapped backings the bytes alias the page
 // cache and writing through them faults; fallback (heap) backings are
-// plain buffers and Close is a no-op.
+// plain buffers. A Mapping from Map that is dropped without Close is
+// released by a finalizer — a backstop that always runs, because a
+// Mapping references nothing that could point back to it.
 type Mapping struct {
 	Data []byte
 
+	mmap  bool  // Data is a memory mapping, not a heap read
+	size  int64 // bytes charged to mappedBytes
 	once  sync.Once
 	unmap func() error
 	err   error
@@ -31,6 +45,8 @@ type Mapping struct {
 // first call Data must no longer be referenced.
 func (m *Mapping) Close() error {
 	m.once.Do(func() {
+		runtime.SetFinalizer(m, nil)
+		mappedBytes.Add(-m.size)
 		if m.unmap != nil {
 			m.err = m.unmap()
 			m.unmap = nil
@@ -39,10 +55,6 @@ func (m *Mapping) Close() error {
 	})
 	return m.err
 }
-
-// Mapped reports whether the bytes are a true memory mapping (as
-// opposed to a heap fallback read).
-func (m *Mapping) Mapped() bool { return m.unmap != nil }
 
 // Mapper is the optional FS extension for zero-copy reads. OS
 // implements it with mmap; the Injector implements it so the crash
@@ -55,8 +67,20 @@ type Mapper interface {
 // Map returns a read-only view of name's contents through fsys. When
 // fsys implements Mapper the view is zero-copy (mmap on OS); otherwise
 // the file is read into memory through the seam, so fault hooks on the
-// plain read path still apply.
+// plain read path still apply. The view counts toward MappedBytes until
+// it is released.
 func Map(fsys FS, name string) (*Mapping, error) {
+	m, err := mapRaw(fsys, name)
+	if err != nil {
+		return nil, err
+	}
+	m.size = int64(len(m.Data))
+	mappedBytes.Add(m.size)
+	runtime.SetFinalizer(m, (*Mapping).Close)
+	return m, nil
+}
+
+func mapRaw(fsys FS, name string) (*Mapping, error) {
 	if m, ok := fsys.(Mapper); ok {
 		return m.Map(name)
 	}
@@ -99,7 +123,20 @@ func (osFS) Map(name string) (*Mapping, error) {
 	if err != nil {
 		return nil, fmt.Errorf("faultfs: mmap %s: %w", name, err)
 	}
-	return &Mapping{Data: data, unmap: func() error { return syscall.Munmap(data) }}, nil
+	return &Mapping{Data: data, mmap: true, unmap: func() error { return syscall.Munmap(data) }}, nil
+}
+
+// PoisonUnmaps turns on poisoned releases for the mappings the injector
+// makes from now on — a test mode that makes any use of a mapping
+// after its release fail deterministically. A released memory mapping
+// is mprotected PROT_NONE and stays reserved, so a later read faults
+// (a panic under debug.SetPanicOnFault); a released heap-fallback
+// buffer is overwritten with 0xA5, so a later read sees garbage.
+// Poisoned pages never return to the OS.
+func (in *Injector) PoisonUnmaps() {
+	in.mu.Lock()
+	in.poison = true
+	in.mu.Unlock()
 }
 
 // Map implements Mapper for the Injector: the hook can veto the map
@@ -110,17 +147,31 @@ func (in *Injector) Map(name string) (*Mapping, error) {
 	if err := in.check(OpMap, name); err != nil {
 		return nil, err
 	}
-	m, err := Map(in.inner, name)
+	m, err := mapRaw(in.inner, name)
 	if err != nil {
 		return nil, err
 	}
-	inner := m.unmap
+	in.mu.Lock()
+	poison := in.poison
+	in.mu.Unlock()
+	// The release closure must not capture m: the Mapping's finalizer
+	// only runs if nothing it references points back to it.
+	data, mmap, inner := m.Data, m.mmap, m.unmap
 	m.unmap = func() error {
 		err := in.check(OpUnmap, name)
-		if inner != nil {
-			if uerr := inner(); err == nil {
-				err = uerr
+		var rerr error
+		switch {
+		case poison && mmap:
+			rerr = syscall.Mprotect(data, syscall.PROT_NONE)
+		case poison:
+			for i := range data {
+				data[i] = 0xA5
 			}
+		case inner != nil:
+			rerr = inner()
+		}
+		if err == nil {
+			err = rerr
 		}
 		return err
 	}

@@ -863,14 +863,13 @@ func (d *Document) Check() error {
 
 // Clone returns a deep copy of the document. The copy starts with cold
 // derived indexes and inherits the incremental-repair setting. A clone
-// of a view-backed document shares tag/attribute strings with the
-// mapped backing and therefore inherits its keepalive.
+// of a view-backed document materializes the source first; the copy is
+// a plain heap document.
 func (d *Document) Clone() *Document {
 	d.ensure()
 	nd := New(d.rootTag, d.content.String())
 	nd.seq = d.seq
 	nd.noRepair = d.noRepair
-	nd.keepalive = d.keepalive
 	// Re-cut boundaries.
 	for _, b := range d.part.Boundaries() {
 		nd.part.Cut(b)

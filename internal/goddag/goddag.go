@@ -135,17 +135,14 @@ type Document struct {
 	// Lazy-materialization state (view.go). A document opened from a
 	// mapped v3 store file carries a DocView; the element layer and the
 	// derived indexes build from its columnar image on first touch
-	// (viewPending flips false), and the first mutation promotes the
-	// index arrays off the read-only backing (viewAliased/viewPromoted).
-	// keepalive pins the backing mapping for the document's lifetime and
-	// is inherited by clones, whose strings alias it.
+	// (viewPending flips false), after which the mapping is released —
+	// the document's strings and arrays are all heap copies. The first
+	// mutation marks it promoted, to be charged as a heap document.
 	view          *DocView
 	viewPending   atomic.Bool
 	viewErr       error
-	viewAliased   bool
 	viewPromoted  atomic.Bool
 	residentBytes atomic.Int64
-	keepalive     any
 }
 
 // bump invalidates derived caches after a structural mutation that moves

@@ -10,14 +10,13 @@ import (
 
 // This file is the lazy-materialization mode backing the v3 store's
 // open-without-decode path. A view-backed document is created with
-// FromView over a columnar image (Columns) that typically aliases a
-// read-only file mapping: opening costs nothing beyond the hierarchy
-// shells, and the first structural access materializes every element
-// and derived index in one bulk pass straight off the columns — no
-// parsing, no sorting, no ordinal merge, because the columns *are* the
-// serialized indexes. Mutations promote the document to pure heap form
-// first (promote), since the in-place index repair (repair.go) writes
-// into the ordinal arrays, which may alias the read-only mapping.
+// FromView over a columnar image (Columns) that is typically read off a
+// file mapping: opening costs nothing beyond the hierarchy shells, and
+// the first structural access materializes every element and derived
+// index in one bulk pass straight off the columns — no parsing, no
+// sorting, no ordinal merge, because the columns *are* the serialized
+// indexes. The image is transient: the document keeps nothing that
+// aliases it, so its backing is released as soon as the pass ends.
 //
 // ExportColumns is the inverse: it flattens a live document into the
 // same columnar image, which the store serializes as the v3 sections.
@@ -51,11 +50,6 @@ type Columns struct {
 	Order   []uint32 // document-order position -> arena index
 	SpanMax []int32  // span-index segment tree (4·nelems max-end slots)
 	Buckets []Bucket // name index, sorted by tag string
-
-	// Aliased marks ByOrd/LeafOrd as views of a read-only backing; the
-	// first mutation copies them to heap (promote) before the in-place
-	// ordinal repair writes into them.
-	Aliased bool
 }
 
 // HierColumns is one hierarchy's slot in the columnar image.
@@ -76,14 +70,12 @@ type DocView struct {
 	RootTag   string
 	Content   string
 	HierNames []string
-	// Materialize validates and returns the columnar image. It is called
-	// at most once, under the document mutex, on the first structural
-	// access.
-	Materialize func() (*Columns, error)
-	// Keep pins the image's backing store (the file mapping) for as long
-	// as any document derived from the view — including editor clones,
-	// whose strings alias the mapping — remains reachable.
-	Keep any
+	// Materialize validates the columnar image and passes it to build,
+	// then releases the image's backing. It is called at most once,
+	// under the document mutex, on the first structural access. The
+	// document keeps Strings, ByOrd, and LeafOrd, which must therefore
+	// be heap memory; the other columns need only outlive build.
+	Materialize func(build func(*Columns)) error
 }
 
 // FromView creates a view-backed document: content and hierarchy shells
@@ -94,8 +86,7 @@ func FromView(v *DocView) *Document {
 		d.AddHierarchy(name)
 	}
 	d.view = v
-	d.keepalive = v.Keep
-	d.residentBytes.Store(int64(512 + len(v.RootTag)))
+	d.residentBytes.Store(int64(512 + len(v.RootTag) + len(v.Content)))
 	d.viewPending.Store(true)
 	return d
 }
@@ -114,11 +105,10 @@ func (d *Document) ViewErr() error {
 	return d.viewErr
 }
 
-// ResidentFootprint reports the heap bytes a still-mapped view-backed
-// document pins (materialized arenas and indexes; content and strings
-// stay in the mapping) — the amount a byte-budgeted cache should
-// charge. ok is false for heap documents and for promoted ones, whose
-// full Footprint applies.
+// ResidentFootprint reports the heap bytes a view-backed document holds
+// — its content, plus the arenas and indexes materialized so far — the
+// amount a byte-budgeted cache should charge. ok is false for heap
+// documents and for promoted ones, whose full Footprint applies.
 func (d *Document) ResidentFootprint() (int64, bool) {
 	if d.view == nil || d.viewPromoted.Load() {
 		return 0, false
@@ -149,44 +139,30 @@ func (d *Document) ensureLocked() {
 }
 
 // prepareMutate readies a view-backed document for a structural or text
-// mutation: materialize, then promote to heap form. Heap documents pay
-// one predictable branch.
+// mutation: materialize, then promote it — from here on it is charged
+// like any heap document. Heap documents pay one predictable branch.
 func (d *Document) prepareMutate() {
 	if d.view == nil {
 		return
 	}
 	d.ensure()
-	d.promote()
-}
-
-// promote copies any index arrays still aliasing the read-only backing
-// to heap. The in-place ordinal repair resizes and writes into
-// byOrd/leafOrd (repair.go); on a PROT_READ mapping that is a fault,
-// so the first mutation pays the copy once.
-func (d *Document) promote() {
-	d.mu.Lock()
-	if d.viewAliased {
-		if o := d.ordIdx; o != nil {
-			o.byOrd = append(make([]int32, 0, len(o.byOrd)+len(o.byOrd)/2), o.byOrd...)
-			o.leafOrd = append(make([]int32, 0, len(o.leafOrd)+len(o.leafOrd)/2), o.leafOrd...)
-		}
-		d.viewAliased = false
-	}
 	d.viewPromoted.Store(true)
-	d.mu.Unlock()
 }
 
-// materializeLocked builds the full element layer and every derived
-// index from the columnar image in one pass, stamping them at the
-// current version. On a validation failure the error is parked in
-// viewErr and the document stays element-free (the normal lazy rebuilds
-// then see a consistent empty structure).
+// materializeLocked runs the view's one materialization. On a
+// validation failure the error is parked in viewErr and the document
+// stays element-free (the normal lazy rebuilds then see a consistent
+// empty structure).
 func (d *Document) materializeLocked() {
-	cols, err := d.view.Materialize()
-	if err != nil {
+	if err := d.view.Materialize(d.buildLocked); err != nil {
 		d.viewErr = err
-		return
 	}
+}
+
+// buildLocked builds the full element layer and every derived index
+// from the columnar image in one pass, stamping them at the current
+// version.
+func (d *Document) buildLocked(cols *Columns) {
 	n := len(cols.Tag)
 	nattr := len(cols.AttrName)
 	nl := len(cols.Cuts)
@@ -314,7 +290,6 @@ func (d *Document) materializeLocked() {
 	}
 	d.ordIdx = &Ordinals{doc: d, els: cache, leafOrd: cols.LeafOrd, byOrd: cols.ByOrd, empty: empty}
 	d.ordVer = d.version
-	d.viewAliased = cols.Aliased
 
 	ix := &spanIndex{els: cache}
 	if n > 0 {
@@ -344,12 +319,12 @@ func (d *Document) materializeLocked() {
 	est += int64(nattr) * int64(unsafe.Sizeof(Attr{}))
 	est += int64(n) * ptrSize * 4 // preArena, childArena, cache, bucketArena
 	est += int64(totalTop) * ptrSize
-	est += int64(nl) * 8           // partition starts
-	est += int64(4*n) * 8          // span tree
-	est += int64(len(strs)) * 16   // string headers (bytes stay mapped)
-	if !cols.Aliased {
-		est += int64(len(cols.ByOrd))*4 + int64(len(cols.LeafOrd))*4
+	est += int64(nl) * 8  // partition starts
+	est += int64(4*n) * 8 // span tree
+	for _, s := range strs {
+		est += 16 + int64(len(s)) // header and bytes
 	}
+	est += int64(len(cols.ByOrd)+len(cols.LeafOrd)) * 4
 	est += int64(len(cols.Buckets)) * 48 // name-index map overhead
 	d.residentBytes.Store(est)
 }

@@ -714,7 +714,7 @@ func appendTraceJSON(buf []byte, tr *obs.Trace) []byte {
 
 // bufferedResponse accumulates one response while a document lock is
 // held, so the client-paced socket write happens after release.
-// Instances recycle through brPool: under sustained load the response
+// Instances recycle through brFree: under sustained load the response
 // buffer is allocated once and reused, not once per request.
 type bufferedResponse struct {
 	status      int
@@ -722,23 +722,48 @@ type bufferedResponse struct {
 	body        bytes.Buffer
 }
 
-var brPool = sync.Pool{New: func() any { return new(bufferedResponse) }}
+// brFree is a bounded LIFO free list rather than a sync.Pool: a pool
+// is rebuilt after every garbage collection (fresh per-P caches, and
+// possibly fresh buffers regrown by append), which charges the warm
+// path allocations in proportion to the GC rate. The free list keeps
+// its buffers across collections, and hands out the most recently
+// returned one — the buffer already grown to the current response size.
+var brFree = struct {
+	sync.Mutex
+	list []*bufferedResponse
+}{list: make([]*bufferedResponse, 0, 16)}
 
 func newBufferedResponse() *bufferedResponse {
-	br := brPool.Get().(*bufferedResponse)
+	var br *bufferedResponse
+	brFree.Lock()
+	if n := len(brFree.list); n > 0 {
+		br = brFree.list[n-1]
+		brFree.list = brFree.list[:n-1]
+	}
+	brFree.Unlock()
+	if br == nil {
+		br = new(bufferedResponse)
+	}
 	br.status = http.StatusOK
 	br.contentType = "application/json"
 	br.body.Reset()
 	return br
 }
 
-// release returns the response to the pool. Buffers grown past 1 MiB by
-// an unusually large response are dropped instead of pinned.
+// release returns the response to the free list. Buffers grown past
+// 4 MiB by an unusually large response are dropped instead of pinned;
+// the bound sits well above a //w node set over an 8000-word document
+// (about 1.1 MB of JSON), which would otherwise regrow its buffer from
+// scratch on every request.
 func (br *bufferedResponse) release() {
-	if br.body.Cap() > 1<<20 {
+	if br.body.Cap() > 4<<20 {
 		return
 	}
-	brPool.Put(br)
+	brFree.Lock()
+	if len(brFree.list) < cap(brFree.list) {
+		brFree.list = append(brFree.list, br)
+	}
+	brFree.Unlock()
 }
 
 func (br *bufferedResponse) flush(w http.ResponseWriter) {

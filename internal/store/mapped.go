@@ -5,9 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"runtime"
+	"slices"
 	"sync"
-	"sync/atomic"
 	"unsafe"
 
 	"repro/internal/faultfs"
@@ -19,13 +18,14 @@ import (
 // migrates to v3 on its next save.
 var ErrV2 = errors.New("store: v2 format, decode required")
 
-// mappedBytes tracks the total bytes currently memory-mapped by open
-// Mapped handles; it decrements when a handle is closed (explicitly or
-// by its finalizer once the document graph is unreachable).
-var mappedBytes atomic.Int64
+// errClosed is the parked error of a document whose mapping was closed
+// before its first structural touch.
+var errClosed = errors.New("store: mapping closed before first touch")
 
-// MappedBytes reports the total bytes currently mapped by the store.
-func MappedBytes() int64 { return mappedBytes.Load() }
+// MappedBytes reports the total bytes the store currently holds mapped:
+// files opened whose documents have not yet materialized (and that are
+// neither closed nor collected).
+func MappedBytes() int64 { return faultfs.MappedBytes() }
 
 // Mapped is an open v3 file: the raw bytes (usually a read-only file
 // mapping) plus the validated section directory. Opening validates only
@@ -34,9 +34,16 @@ func MappedBytes() int64 { return mappedBytes.Load() }
 // returns a lazily materializing document; the full section checksums
 // and structural validation run once, on the document's first
 // structural access (or eagerly via Validate).
+//
+// The bytes are a transient read buffer, not a backing store: Document
+// copies out the content and names, the first structural access copies
+// out everything the document keeps, and the mapping is released right
+// after it — so nothing reachable from a document ever aliases it.
 type Mapped struct {
-	data []byte
+	mu   sync.Mutex       // serializes reads of data against release
+	data []byte           // nil once released
 	m    *faultfs.Mapping // nil for byte-backed opens
+	size int
 
 	secs    [secMax + 1]secEntry
 	present [secMax + 1]bool
@@ -71,12 +78,12 @@ func (m *Mapped) SectionSizes() []int {
 }
 
 // Size reports the total mapped (or buffered) file size.
-func (m *Mapped) Size() int { return len(m.data) }
+func (m *Mapped) Size() int { return m.size }
 
 // OpenMappedFile maps path through fsys and validates the v3 header.
-// The mapping stays alive while the returned handle — or any document
-// built from it, including editor clones — is reachable; it is released
-// by Close or, failing that, a finalizer.
+// The mapping is released when the document's structure materializes,
+// or by Close; a handle dropped with its document untouched is unmapped
+// by the mapping's backstop finalizer.
 func OpenMappedFile(fsys faultfs.FS, path string) (*Mapped, error) {
 	mp, err := faultfs.Map(fsys, path)
 	if err != nil {
@@ -88,8 +95,6 @@ func OpenMappedFile(fsys faultfs.FS, path string) (*Mapped, error) {
 		return nil, err
 	}
 	m.m = mp
-	mappedBytes.Add(int64(len(m.data)))
-	runtime.SetFinalizer(m, func(m *Mapped) { m.release() })
 	return m, nil
 }
 
@@ -114,21 +119,24 @@ func OpenMappedDoc(fsys faultfs.FS, path string) (*goddag.Document, *Mapped, err
 	return doc, m, nil
 }
 
-// release drops the mapping (idempotent).
-func (m *Mapped) release() {
+// releaseLocked drops the bytes, unmapping a file (idempotent).
+func (m *Mapped) releaseLocked() (err error) {
 	if m.m != nil {
-		mappedBytes.Add(-int64(len(m.data)))
-		m.m.Close()
+		err = m.m.Close()
 		m.m = nil
 	}
+	m.data = nil
+	return err
 }
 
-// Close unmaps the file immediately. Any document previously returned
-// by Document() must no longer be used: its strings alias the mapping.
+// Close releases the mapping now. A document from Document() that has
+// already materialized is unaffected — it no longer references the
+// mapping; one that has not presents an empty structure with ViewErr
+// reporting the early close.
 func (m *Mapped) Close() error {
-	runtime.SetFinalizer(m, nil)
-	m.release()
-	return nil
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.releaseLocked()
 }
 
 // openMapped validates the header and section directory: magic,
@@ -162,7 +170,7 @@ func openMapped(data []byte) (*Mapped, error) {
 	if got, want := crc32.Checksum(data[:dirEnd], crcTable), binary.LittleEndian.Uint32(data[dirEnd:]); got != want {
 		return nil, fmt.Errorf("store: mapped open: header checksum mismatch")
 	}
-	m := &Mapped{data: data}
+	m := &Mapped{data: data, size: len(data)}
 	prevEnd := uint64(align8(dirEnd + 4))
 	for i := 0; i < nsec; i++ {
 		e := data[v3HeaderLen+i*v3EntryLen:]
@@ -207,15 +215,22 @@ func (m *Mapped) checkCRC(id int) error {
 
 // Document returns the lazily materializing document over the mapping.
 // It verifies the meta and content sections (checksums plus O(1)
-// length cross-checks for every column) and resolves the root and
-// hierarchy names; the element columns are validated on first
-// structural access. Repeated calls return the same document.
+// length cross-checks for every column) and copies out the content and
+// the root and hierarchy names; the element columns are validated on
+// first structural access. Repeated calls return the same document.
 func (m *Mapped) Document() (*goddag.Document, error) {
-	m.docOnce.Do(func() { m.doc, m.docErr = m.buildDoc() })
+	m.docOnce.Do(func() {
+		m.mu.Lock()
+		defer m.mu.Unlock()
+		m.doc, m.docErr = m.buildDoc()
+	})
 	return m.doc, m.docErr
 }
 
 func (m *Mapped) buildDoc() (*goddag.Document, error) {
+	if m.data == nil {
+		return nil, errClosed
+	}
 	if err := m.checkCRC(secMeta); err != nil {
 		return nil, err
 	}
@@ -292,15 +307,14 @@ func (m *Mapped) buildDoc() (*goddag.Document, error) {
 	}
 	return goddag.FromView(&goddag.DocView{
 		RootTag:     rootTag,
-		Content:     bstr(m.sec(secContent)),
+		Content:     string(m.sec(secContent)),
 		HierNames:   names,
-		Materialize: m.columns,
-		Keep:        m,
+		Materialize: m.materialize,
 	}), nil
 }
 
-// str resolves one string-table entry with individual bounds checks —
-// used before the table as a whole has been validated (root and
+// str copies out one string-table entry with individual bounds checks
+// — used before the table as a whole has been validated (root and
 // hierarchy names at Document() time).
 func (m *Mapped) str(id uint32) (string, error) {
 	if int(id) >= m.nstrings {
@@ -313,14 +327,35 @@ func (m *Mapped) str(id uint32) (string, error) {
 	if lo > hi || hi > uint32(len(blob)) {
 		return "", fmt.Errorf("store: string %d bounds [%d,%d) invalid", id, lo, hi)
 	}
-	return bstr(blob[lo:hi]), nil
+	return string(blob[lo:hi]), nil
+}
+
+// materialize is the document's first-touch callback: it hands the
+// validated columnar image to build, then releases the mapping whether
+// or not validation passed. Nothing build keeps aliases the mapping —
+// columns copies out the strings and the ordinal tables, and build
+// consumes the other columns before returning.
+func (m *Mapped) materialize(build func(*goddag.Columns)) error {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	defer m.releaseLocked()
+	if m.data == nil {
+		return errClosed
+	}
+	cols, err := m.columns()
+	if err != nil {
+		return err
+	}
+	build(cols)
+	return nil
 }
 
 // columns verifies the remaining section checksums, validates the
 // element columns structurally (every index in range, orders and
 // prefixes monotonic, ordinal tables mutually consistent), and returns
-// the columnar image, aliasing the mapping wherever layout permits.
-// Called once per document, on its first structural access.
+// the columnar image. The strings and the ordinal tables are heap
+// copies; the other columns view the mapping wherever layout permits
+// and are valid only until it is released.
 func (m *Mapped) columns() (*goddag.Columns, error) {
 	for id := secStrBlob; id <= secBuckets; id++ {
 		if err := m.checkCRC(id); err != nil {
@@ -329,8 +364,8 @@ func (m *Mapped) columns() (*goddag.Columns, error) {
 	}
 	n, nl, nattrs, nstr := m.nelems, m.nleaves, m.nattrs, m.nstrings
 
-	strOff, _ := u32view(m.sec(secStrOff))
-	blob := m.sec(secStrBlob)
+	strOff := u32view(m.sec(secStrOff))
+	blob := string(m.sec(secStrBlob))
 	if strOff[0] != 0 || int(strOff[nstr]) != len(blob) {
 		return nil, fmt.Errorf("store: string table does not tile its blob")
 	}
@@ -341,23 +376,23 @@ func (m *Mapped) columns() (*goddag.Columns, error) {
 	}
 	strs := make([]string, nstr)
 	for i := range strs {
-		strs[i] = bstr(blob[strOff[i]:strOff[i+1]])
+		strs[i] = blob[strOff[i]:strOff[i+1]]
 	}
 
-	tag, _ := u32view(m.sec(secTag))
-	start, _ := u32view(m.sec(secStart))
-	end, _ := u32view(m.sec(secEnd))
-	parent, _ := i32view(m.sec(secParent))
-	preEnd, _ := u32view(m.sec(secPreEnd))
-	ord, _ := u32view(m.sec(secOrd))
-	attrOff, _ := u32view(m.sec(secAttrOff))
-	attrName, _ := u32view(m.sec(secAttrName))
-	attrVal, _ := u32view(m.sec(secAttrVal))
-	cuts, _ := u32view(m.sec(secCuts))
-	order, _ := u32view(m.sec(secOrder))
-	spanMax, _ := i32view(m.sec(secSpanMax))
-	leafOrd, leafAliased := i32view(m.sec(secLeafOrd))
-	byOrd, byAliased := i32view(m.sec(secByOrd))
+	tag := u32view(m.sec(secTag))
+	start := u32view(m.sec(secStart))
+	end := u32view(m.sec(secEnd))
+	parent := i32view(m.sec(secParent))
+	preEnd := u32view(m.sec(secPreEnd))
+	ord := u32view(m.sec(secOrd))
+	attrOff := u32view(m.sec(secAttrOff))
+	attrName := u32view(m.sec(secAttrName))
+	attrVal := u32view(m.sec(secAttrVal))
+	cuts := u32view(m.sec(secCuts))
+	order := u32view(m.sec(secOrder))
+	spanMax := i32view(m.sec(secSpanMax))
+	leafOrd := i32view(m.sec(secLeafOrd))
+	byOrd := i32view(m.sec(secByOrd))
 
 	nord := 1 + n + nl
 	cl := uint32(m.contentLen)
@@ -430,13 +465,13 @@ func (m *Mapped) columns() (*goddag.Columns, error) {
 	}
 	for j := 0; j < nl; j++ {
 		lo := leafOrd[j]
-		if lo <= 0 || int(lo) >= nord || byOrd[lo] != int32(-(j + 1)) {
+		if lo <= 0 || int(lo) >= nord || byOrd[lo] != int32(-(j+1)) {
 			return nil, fmt.Errorf("store: ordinal tables disagree on leaf %d", j)
 		}
 	}
 
 	bk := m.sec(secBuckets)
-	bu, _ := u32view(bk)
+	bu := u32view(bk)
 	nb := int(bu[0])
 	if nb < 0 || 1+2*nb > len(bu) {
 		return nil, fmt.Errorf("store: bucket directory truncated")
@@ -472,25 +507,20 @@ func (m *Mapped) columns() (*goddag.Columns, error) {
 
 	hiers := make([]goddag.HierColumns, m.nhier)
 	for i := range hiers {
-		name, err := m.str(m.hierIDs[i])
-		if err != nil {
-			return nil, err
-		}
-		hiers[i] = goddag.HierColumns{Name: name, N: m.hierCounts[i]}
+		hiers[i] = goddag.HierColumns{Name: strs[m.hierIDs[i]], N: m.hierCounts[i]} // ids checked by Document
 	}
 	return &goddag.Columns{
 		Strings: strs, Hiers: hiers,
 		Tag: tag, Start: start, End: end, Parent: parent, PreEnd: preEnd, Ord: ord,
 		AttrOff: attrOff, AttrName: attrName, AttrVal: attrVal,
-		Cuts: cuts, LeafOrd: leafOrd, ByOrd: byOrd, Order: order,
+		Cuts: cuts, LeafOrd: slices.Clone(leafOrd), ByOrd: slices.Clone(byOrd), Order: order,
 		SpanMax: spanMax, Buckets: buckets,
-		Aliased: leafAliased || byAliased,
 	}, nil
 }
 
-// decodeV3Bytes fully decodes a v3 image into a (heap-buffer-backed)
-// document, forcing materialization so any damage surfaces as an error
-// rather than a parked ViewErr. Decode's v3 branch.
+// decodeV3Bytes fully decodes a v3 image into a heap document, forcing
+// materialization so any damage surfaces as an error rather than a
+// parked ViewErr. Decode's v3 branch.
 func decodeV3Bytes(data []byte) (*goddag.Document, error) {
 	m, err := OpenMappedBytes(data)
 	if err != nil {
@@ -520,53 +550,42 @@ func (m *Mapped) Validate() error {
 }
 
 // nativeLE reports whether the running architecture is little-endian —
-// the condition (with 4-byte alignment) for aliasing the file's column
-// arrays instead of copying them.
+// the condition (with 4-byte alignment) for reading the file's column
+// arrays in place instead of decoding them.
 var nativeLE = func() bool {
 	var x uint16 = 1
 	return *(*byte)(unsafe.Pointer(&x)) == 1
 }()
 
-// bstr views a byte slice as a string without copying. The bytes alias
-// the mapping and must stay immutable and alive — guaranteed by the
-// PROT_READ mapping and the document's keepalive.
-func bstr(b []byte) string {
-	if len(b) == 0 {
-		return ""
-	}
-	return unsafe.String(unsafe.SliceData(b), len(b))
-}
-
 // u32view reinterprets little-endian bytes as a uint32 slice, aliasing
-// when alignment and byte order allow and copying otherwise. The
-// second result reports aliasing.
-func u32view(b []byte) ([]uint32, bool) {
+// when alignment and byte order allow and copying otherwise.
+func u32view(b []byte) []uint32 {
 	nv := len(b) / 4
 	if nv == 0 {
-		return nil, false
+		return nil
 	}
 	if nativeLE && uintptr(unsafe.Pointer(unsafe.SliceData(b)))%4 == 0 {
-		return unsafe.Slice((*uint32)(unsafe.Pointer(unsafe.SliceData(b))), nv), true
+		return unsafe.Slice((*uint32)(unsafe.Pointer(unsafe.SliceData(b))), nv)
 	}
 	out := make([]uint32, nv)
 	for i := range out {
 		out[i] = binary.LittleEndian.Uint32(b[4*i:])
 	}
-	return out, false
+	return out
 }
 
 // i32view is u32view for int32 columns.
-func i32view(b []byte) ([]int32, bool) {
+func i32view(b []byte) []int32 {
 	nv := len(b) / 4
 	if nv == 0 {
-		return nil, false
+		return nil
 	}
 	if nativeLE && uintptr(unsafe.Pointer(unsafe.SliceData(b)))%4 == 0 {
-		return unsafe.Slice((*int32)(unsafe.Pointer(unsafe.SliceData(b))), nv), true
+		return unsafe.Slice((*int32)(unsafe.Pointer(unsafe.SliceData(b))), nv)
 	}
 	out := make([]int32, nv)
 	for i := range out {
 		out[i] = int32(binary.LittleEndian.Uint32(b[4*i:]))
 	}
-	return out, false
+	return out
 }

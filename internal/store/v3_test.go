@@ -120,8 +120,11 @@ func TestOpenMappedV2ReportsErrV2(t *testing.T) {
 // across the corpus grid — hierarchy counts, overlap densities, and a
 // multibyte vocabulary: the mapped v3 open, the streaming v2 decode,
 // and the in-memory build must agree on structure, attributes, document
-// order, and query results.
+// order, and query results. The v3 files open through poisoned
+// mappings, alternating mmap and heap fallback, so a document that
+// still read its file after materializing would fault or diverge.
 func TestV3DifferentialGrid(t *testing.T) {
+	cell := 0
 	for _, words := range []int{60, 300} {
 		for _, h := range []int{1, 2, 4, 8} {
 			for _, density := range []float64{0.1, 0.5, 0.9} {
@@ -143,7 +146,8 @@ func TestV3DifferentialGrid(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					v3doc := openV3(t, encodeV3Bytes(t, doc))
+					cell++
+					v3doc := openPoisoned(t, encodeV3Bytes(t, doc), cell%2 == 0)
 					if err := v3doc.Check(); err != nil {
 						t.Fatalf("words=%d h=%d d=%.1f: v3 check: %v", words, h, density, err)
 					}
@@ -207,10 +211,10 @@ func evalValue(d *goddag.Document, q string) (string, error) {
 	return v.String(), nil
 }
 
-// TestV3EditAfterOpenPromotes opens a mapped document, edits it (which
-// must promote the lazily materialized state to the heap), and checks
-// the result round-trips and matches the same edit applied to a fully
-// heap-decoded copy.
+// TestV3EditAfterOpenPromotes opens a mapped document (through a
+// poisoned mapping), edits it (which must promote the lazily
+// materialized state to the heap), and checks the result round-trips
+// and matches the same edit applied to a fully heap-decoded copy.
 func TestV3EditAfterOpenPromotes(t *testing.T) {
 	cfg := corpus.DefaultConfig(120)
 	cfg.Vocabulary = corpus.MultibyteVocabulary
@@ -232,7 +236,7 @@ func TestV3EditAfterOpenPromotes(t *testing.T) {
 		}
 	}
 
-	mapped := openV3(t, image)
+	mapped := openPoisoned(t, image, true)
 	edit(mapped)
 	if err := mapped.Check(); err != nil {
 		t.Fatalf("edited mapped doc: %v", err)
