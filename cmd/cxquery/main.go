@@ -15,10 +15,13 @@
 // .gdag stores — and the query, compiled once, is evaluated against each
 // in turn; output lines gain a "file:" prefix column.
 //
-// Node results print one per line as hierarchy:tag[span] "text" — the
-// same renderer (internal/cliutil) the cxserve HTTP service uses for its
-// text format, so CLI and server output are byte-identical. -json emits
-// the server's JSON encoding instead.
+// Node results print one per line as hierarchy:tag[span] "text", and
+// attribute results as hierarchy:tag[span]/@name = "value", with spans
+// in characters. -json emits the JSON result encoding instead (with
+// -count: sets as their type and size only). Both go through the append
+// encoders of internal/cliutil, the ones the cxserve HTTP service
+// renders its responses with, so CLI and server output are
+// byte-identical.
 //
 // -timeout and -max-visited bound the evaluation the same way the
 // server's request deadlines and node budgets do: a query that exceeds
@@ -34,7 +37,6 @@ package main
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -161,12 +163,10 @@ func run(ctx context.Context, doc *core.Document, xq *xpath.Query, fq *xquery.Qu
 		}
 		if jsonOut {
 			if quiet {
-				return emitJSON(map[string]int{"count": len(vals)}, file)
+				out := cliutil.AppendUint([]byte(`{"count":`), int64(len(vals)))
+				return emitJSON(append(out, '}'), file)
 			}
-			out := make([]cliutil.ValueJSON, len(vals))
-			for i, v := range vals {
-				out[i] = cliutil.EncodeValue(v, 0)
-			}
+			out, _ := cliutil.AppendFLWORJSON(nil, vals, 0)
 			return emitJSON(out, file)
 		}
 		return prefixed(prefix, func(w *prefixWriter) {
@@ -178,31 +178,29 @@ func run(ctx context.Context, doc *core.Document, xq *xpath.Query, fq *xquery.Qu
 		return err
 	}
 	if jsonOut {
-		enc := cliutil.EncodeValue(v, 0)
-		if quiet {
-			// -count with -json: sizes only, no node dump.
-			enc.Nodes, enc.Attrs = nil, nil
-		}
-		return emitJSON(enc, file)
+		return emitJSON(cliutil.AppendValueJSON(nil, v, quiet, 0), file)
 	}
 	return prefixed(prefix, func(w *prefixWriter) {
 		cliutil.WriteValue(w, v, quiet, 0)
 	})
 }
 
-// emitJSON writes one JSON document per input; in -each mode the result
-// nests under {"file": ..., "result": ...} so consumers can stream one
-// parseable object per file.
-func emitJSON(v any, file string) error {
+// emitJSON writes one encoded JSON result per input; in -each mode the
+// result nests under {"file": ..., "result": ...} so consumers can
+// stream one parseable object per file.
+func emitJSON(result []byte, file string) error {
+	var out []byte
 	if file != "" {
-		v = struct {
-			File   string `json:"file"`
-			Result any    `json:"result"`
-		}{File: file, Result: v}
+		out = append(out, `{"file":`...)
+		out = cliutil.AppendJSONString(out, file)
+		out = append(out, `,"result":`...)
 	}
-	enc := json.NewEncoder(os.Stdout)
-	enc.SetEscapeHTML(false)
-	return enc.Encode(v)
+	out = append(out, result...)
+	if file != "" {
+		out = append(out, '}')
+	}
+	_, err := os.Stdout.Write(append(out, '\n'))
+	return err
 }
 
 func prefixed(prefix string, f func(w *prefixWriter)) error {

@@ -53,9 +53,12 @@
 // index pre-warming (goddag.Document.Warm), and a byte-budgeted LRU
 // over goddag.Document.Footprint estimates — and internal/server +
 // cmd/cxserve expose it over HTTP: POST /query evaluates Extended
-// XPath and FLWOR with a shared compiled-query cache, and results
-// render through the same internal/cliutil encoders the cxquery CLI
-// uses, so server and CLI output are byte-identical.
+// XPath and FLWOR with a shared compiled-query cache. Every result —
+// node set, attribute set, scalar or FLWOR tuple, as JSON or text —
+// turns into bytes in one streaming pass through internal/cliutil's
+// append encoders, the ones the cxquery CLI uses, so server and CLI
+// output are byte-identical and a response allocates no more for a
+// large result than for a small one.
 //
 // Every request the serving layer handles carries a real lifecycle: a
 // context.Context deadline (the server default, tightened per request)

@@ -3,232 +3,289 @@ package cliutil
 import (
 	"fmt"
 	"io"
+	"strconv"
 
 	"repro/internal/goddag"
 	"repro/internal/xpath"
 )
 
-// This file is the single implementation of query-result rendering,
-// shared by the cxquery CLI (text lines) and the cxserve HTTP service
-// (JSON and text). Keeping one encoder guarantees the serving layer's
-// results stay byte-identical to the CLI's for the same document and
-// query — a property the server's handler tests assert.
+// This file renders whole query results — node sets, attribute sets and
+// scalars — on top of the node appenders in stream.go, as JSON and as
+// the cxquery text lines. cxserve and cxquery both render through it,
+// so their output for the same document and query is identical.
 
-// SpanJSON is a half-open offset interval in a JSON result.
-type SpanJSON struct {
-	Start int `json:"start"`
-	End   int `json:"end"`
+// sliceSource feeds a materialized node slice through the same loop a
+// lazy stream goes through.
+type sliceSource struct {
+	ns []goddag.Node
+	i  int
 }
 
-// NodeJSON is the wire form of one result node: its place in the GODDAG
-// (kind, hierarchy, tag or leaf index) and its extent as both byte and
-// rune offsets into the shared content. Text is the full dominated text.
-type NodeJSON struct {
-	Kind      string   `json:"kind"` // "root", "element", or "leaf"
-	Hierarchy string   `json:"hierarchy,omitempty"`
-	Tag       string   `json:"tag,omitempty"`
-	Leaf      int      `json:"leaf,omitempty"`
-	ByteSpan  SpanJSON `json:"byteSpan"`
-	RuneSpan  SpanJSON `json:"runeSpan"`
-	Text      string   `json:"text"`
+func (s *sliceSource) Next() (goddag.Node, error) {
+	if s.i >= len(s.ns) {
+		return nil, nil
+	}
+	s.i++
+	return s.ns[s.i-1], nil
 }
 
-// AttrJSON is the wire form of one attribute-axis result.
-type AttrJSON struct {
-	Owner string `json:"owner"` // owning element tag
-	Name  string `json:"name"`
-	Value string `json:"value"`
+func (s *sliceSource) Size() int { return len(s.ns) - s.i }
+
+// slice returns the encoder's slice source, reset to ns.
+func (e *NodeEncoder) slice(ns []goddag.Node) *sliceSource {
+	if e.nodes == nil {
+		e.nodes = new(sliceSource)
+	}
+	*e.nodes = sliceSource{ns: ns}
+	return e.nodes
 }
 
-// ValueJSON is the wire form of one Extended XPath result value.
-type ValueJSON struct {
-	Type  string     `json:"type"` // "node-set", "attribute-set", "string", "number", "boolean"
-	Count int        `json:"count"`
-	Nodes []NodeJSON `json:"nodes,omitempty"`
-	Attrs []AttrJSON `json:"attrs,omitempty"`
-	Value string     `json:"value,omitempty"` // scalar results, XPath string form
-	// Truncated is set when limit cut the node/attr list short; Count
-	// still reports the full result size.
-	Truncated bool `json:"truncated,omitempty"`
-}
-
-// EncodeNode converts a result node to its wire form.
-func EncodeNode(n goddag.Node) NodeJSON {
+// AppendNodeSetJSON appends the JSON form of the node set src yields:
+//
+//	{"type":"node-set","nodes":[node, ...],"count":N,"truncated":true}
+//
+// with each node as AppendNodeJSON writes it. A limit > 0 caps the
+// encoded nodes; when it cuts the set short, the rest of src is counted
+// without being encoded (by Size when src knows it, else by draining),
+// so count is always the full size, and truncated is set. "nodes" is
+// omitted for an empty set, "truncated" when nothing was cut. A src
+// error aborts the encode and is returned unchanged, with the bytes
+// appended so far incomplete.
+func AppendNodeSetJSON(dst []byte, src NodeSource, limit int) ([]byte, error) {
 	var e NodeEncoder
-	return e.EncodeNode(n)
+	dst, _, err := e.appendNodeSetJSON(dst, src, limit)
+	return dst, err
 }
 
-// EncodeNode is the cursor-carrying form of the package function: spans
-// of document-ordered node sequences convert in amortized O(1).
-func (e *NodeEncoder) EncodeNode(n goddag.Node) NodeJSON {
-	content := n.Document().Content()
-	sp := n.Span()
-	out := NodeJSON{
-		ByteSpan: SpanJSON{Start: sp.Start, End: sp.End},
-		Text:     n.Text(),
+// appendNodeSetJSON is AppendNodeSetJSON returning the number of nodes
+// it encoded as well.
+func (e *NodeEncoder) appendNodeSetJSON(dst []byte, src NodeSource, limit int) ([]byte, int, error) {
+	dst = append(dst, `{"type":"node-set"`...)
+	total := src.Size() // -1 when unknown
+	written := 0
+	for limit <= 0 || written < limit {
+		n, err := src.Next()
+		if err != nil {
+			return dst, written, err
+		}
+		if n == nil {
+			total = written
+			break
+		}
+		if written == 0 {
+			dst = append(dst, `,"nodes":[`...)
+		} else {
+			dst = append(dst, ',')
+		}
+		dst = e.AppendNodeJSON(dst, n)
+		written++
 	}
-	rs := e.runeSpan(content, sp)
-	out.RuneSpan = SpanJSON{Start: rs.Start, End: rs.End}
-	switch v := n.(type) {
-	case *goddag.Element:
-		out.Kind = "element"
-		out.Hierarchy = v.Hierarchy().Name()
-		out.Tag = v.Name()
-	case goddag.Leaf:
-		out.Kind = "leaf"
-		out.Leaf = v.Index()
-	default:
-		out.Kind = "root"
-		out.Tag = n.Document().RootTag()
+	if total < 0 {
+		// The limit stopped a stream of unknown size: count the rest.
+		total = written
+		for {
+			n, err := src.Next()
+			if err != nil {
+				return dst, written, err
+			}
+			if n == nil {
+				break
+			}
+			total++
+		}
 	}
-	return out
+	if written > 0 {
+		dst = append(dst, ']')
+	}
+	dst = append(dst, `,"count":`...)
+	dst = AppendUint(dst, int64(total))
+	if written < total {
+		dst = append(dst, `,"truncated":true`...)
+	}
+	return append(dst, '}'), written, nil
 }
 
-// EncodeValue converts a query result to its wire form. A limit > 0 caps
-// the number of encoded nodes/attributes (Count keeps the true size and
-// Truncated is set); limit <= 0 encodes everything.
-func EncodeValue(v xpath.Value, limit int) ValueJSON {
-	if attrs := v.Attrs(); len(attrs) > 0 {
-		out := ValueJSON{Type: "attribute-set", Count: len(attrs)}
-		if limit > 0 && len(attrs) > limit {
-			attrs, out.Truncated = attrs[:limit], true
-		}
-		out.Attrs = make([]AttrJSON, len(attrs))
-		for i, a := range attrs {
-			out.Attrs[i] = AttrJSON{Owner: a.Owner.Name(), Name: a.Name, Value: a.Value}
-		}
-		return out
-	}
-	if v.IsNodeSet() {
-		nodes := v.Nodes()
-		out := ValueJSON{Type: "node-set", Count: len(nodes)}
-		if limit > 0 && len(nodes) > limit {
-			nodes, out.Truncated = nodes[:limit], true
-		}
-		out.Nodes = make([]NodeJSON, len(nodes))
-		var e NodeEncoder
-		for i, n := range nodes {
-			out.Nodes[i] = e.EncodeNode(n)
-		}
-		return out
-	}
-	return ValueJSON{Type: v.Kind(), Count: 1, Value: v.String()}
-}
-
-// FormatNode renders one result node as the cxquery line format:
+// AppendValueJSON appends the JSON form of a query result. The "type"
+// is v.Kind(). Node sets are written as AppendNodeSetJSON writes them,
+// attribute sets as
 //
-//	hierarchy:tag[lo,hi) "text"    (elements)
-//	leaf#i[lo,hi) "text"           (leaves)
-//	root:tag "text"                (the root)
+//	{"type":"attribute-set","count":N,"attrs":[{"owner":"w","name":"n","value":"3"}, ...],"truncated":true}
 //
-// Printed spans are character (rune) positions — the paper's coordinates
-// — converted from the internal byte spans at this output edge. Text is
-// clipped to 60 runes.
-func FormatNode(n goddag.Node) string {
-	return string(AppendNodeText(nil, n))
+// and scalars as {"type":"number","count":1,"value":"6"}, with "value"
+// (the XPath string form) omitted when empty. A limit > 0 caps the
+// encoded nodes or attributes as in AppendNodeSetJSON. With countOnly,
+// a node or attribute set is written as its type and count alone.
+func AppendValueJSON(dst []byte, v xpath.Value, countOnly bool, limit int) []byte {
+	var e NodeEncoder
+	dst, _, _ = e.appendValueJSON(dst, v, countOnly, limit)
+	return dst
 }
 
-// WriteValue writes a query result in the cxquery text format: scalars
-// as their string value, attribute sets as owner/@name = "value" lines,
-// node-sets as one FormatNode line per node. With countOnly, node and
-// attribute sets print only their (full) size. A limit > 0 caps the
-// printed node/attribute lines, mirroring EncodeValue; limit <= 0
-// prints everything.
-func WriteValue(w io.Writer, v xpath.Value, countOnly bool, limit int) {
+// appendValueJSON is AppendValueJSON returning the number of items it
+// encoded (nodes, attributes, or 1 for a scalar) and whether the limit
+// cut the set short.
+func (e *NodeEncoder) appendValueJSON(dst []byte, v xpath.Value, countOnly bool, limit int) ([]byte, int, bool) {
 	if !v.IsNodeSet() {
-		fmt.Fprintln(w, v.String())
-		return
-	}
-	if attrs := v.Attrs(); len(attrs) > 0 {
-		if countOnly {
-			fmt.Fprintln(w, len(attrs))
-			return
+		dst = appendTypeCount(dst, v.Kind(), 1)
+		if s := v.String(); s != "" {
+			dst = append(dst, `,"value":`...)
+			dst = AppendJSONString(dst, s)
 		}
+		return append(dst, '}'), 1, false
+	}
+	if countOnly {
+		dst = appendTypeCount(dst, v.Kind(), len(v.Nodes())+len(v.Attrs())) // one of the two is empty
+		return append(dst, '}'), 0, false
+	}
+	if v.Kind() == "node-set" {
+		dst, n, _ := e.appendNodeSetJSON(dst, e.slice(v.Nodes()), limit) // a slice never fails
+		return dst, n, n < len(v.Nodes())
+	}
+	attrs := v.Attrs()
+	dst = appendTypeCount(dst, "attribute-set", len(attrs))
+	cut := limit > 0 && len(attrs) > limit
+	if cut {
+		attrs = attrs[:limit]
+	}
+	for i, a := range attrs {
+		if i == 0 {
+			dst = append(dst, `,"attrs":[`...)
+		} else {
+			dst = append(dst, ',')
+		}
+		dst = append(dst, `{"owner":`...)
+		dst = AppendJSONString(dst, a.Owner.Name())
+		dst = append(dst, `,"name":`...)
+		dst = AppendJSONString(dst, a.Name)
+		dst = append(dst, `,"value":`...)
+		dst = AppendJSONString(dst, a.Value)
+		dst = append(dst, '}')
+	}
+	if len(attrs) > 0 {
+		dst = append(dst, ']')
+	}
+	if cut {
+		dst = append(dst, `,"truncated":true`...)
+	}
+	return append(dst, '}'), len(attrs), cut
+}
+
+// appendTypeCount opens a value object with its type and count.
+func appendTypeCount(dst []byte, kind string, count int) []byte {
+	dst = append(dst, `{"type":`...)
+	dst = AppendJSONString(dst, kind)
+	dst = append(dst, `,"count":`...)
+	return AppendUint(dst, int64(count))
+}
+
+// AppendFLWORJSON appends FLWOR results as a JSON array, one
+// AppendValueJSON element per tuple. A limit > 0 is a budget across
+// all tuples: each tuple's nodes or attributes (a scalar counts one)
+// draw it down, and once it is spent the remaining tuples are left out.
+// The returned flag reports that the budget cut the results short,
+// inside a tuple or by leaving tuples out.
+func AppendFLWORJSON(dst []byte, vals []xpath.Value, limit int) ([]byte, bool) {
+	var e NodeEncoder
+	dst = append(dst, '[')
+	remaining, truncated := limit, false
+	for i, v := range vals {
+		if limit > 0 && remaining <= 0 {
+			truncated = true
+			break
+		}
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		var n int
+		var cut bool
+		dst, n, cut = e.appendValueJSON(dst, v, false, remaining)
+		truncated = truncated || cut
+		if limit > 0 {
+			remaining -= n
+		}
+	}
+	return append(dst, ']'), truncated
+}
+
+// appendAttrText appends the cxquery line form of an attribute result,
+//
+//	hierarchy:tag[lo,hi)/@name = "value"
+//
+// with the owner's span in rune offsets, as on node lines.
+func (e *NodeEncoder) appendAttrText(dst []byte, a xpath.AttrNode) []byte {
+	o := a.Owner
+	dst = append(dst, o.Hierarchy().Name()...)
+	dst = append(dst, ':')
+	dst = append(dst, o.Name()...)
+	dst = e.appendRuneSpan(dst, o.Document().Content(), o.Span())
+	dst = append(dst, "/@"...)
+	dst = append(dst, a.Name...)
+	dst = append(dst, " = "...)
+	return strconv.AppendQuote(dst, a.Value)
+}
+
+// writeText writes v in the cxquery text format — node sets one
+// AppendNodeText line per node, attribute sets one appendAttrText line
+// per attribute, scalars their string value — and returns the number
+// of lines written. A limit > 0 caps the node or attribute lines.
+func (e *NodeEncoder) writeText(w io.Writer, v xpath.Value, limit int) (int, error) {
+	switch v.Kind() {
+	case "node-set":
+		return e.writeNodesText(w, e.slice(v.Nodes()), limit)
+	case "attribute-set":
+		attrs := v.Attrs()
 		if limit > 0 && len(attrs) > limit {
 			attrs = attrs[:limit]
 		}
-		for _, a := range attrs {
-			fmt.Fprintf(w, "%s/@%s = %q\n", a.Owner, a.Name, a.Value)
+		bp := scratchPool.Get().(*[]byte)
+		defer scratchPool.Put(bp)
+		for i, a := range attrs {
+			buf := append(e.appendAttrText((*bp)[:0], a), '\n')
+			*bp = buf[:0] // keep any growth for the next line
+			if _, err := w.Write(buf); err != nil {
+				return i, err
+			}
 		}
-		return
+		return len(attrs), nil
 	}
-	nodes := v.Nodes()
-	if countOnly {
-		fmt.Fprintln(w, len(nodes))
-		return
-	}
-	if limit > 0 && len(nodes) > limit {
-		nodes = nodes[:limit]
-	}
-	// Render through the pooled append encoder: one recycled buffer per
-	// call instead of two allocations (format + println) per node.
-	bp := scratchPool.Get().(*[]byte)
-	defer scratchPool.Put(bp)
-	var e NodeEncoder
-	for _, n := range nodes {
-		buf := e.AppendNodeText((*bp)[:0], n)
-		buf = append(buf, '\n')
-		*bp = buf[:0]
-		if _, err := w.Write(buf); err != nil {
-			return
-		}
-	}
+	_, err := fmt.Fprintln(w, v.String())
+	return 1, err
 }
 
-// WriteFLWOR writes FLWOR results in the cxquery text format: node-set
-// tuples expand to one FormatNode line per node, scalar tuples to their
-// string value. With countOnly only the tuple count prints. A limit > 0
-// caps the total printed node/attribute lines across all tuples;
+// WriteValue writes a query result in the cxquery text format (see
+// writeText). With countOnly, node and attribute sets print only their
+// full size. A limit > 0 caps the printed node or attribute lines;
 // limit <= 0 prints everything.
+func WriteValue(w io.Writer, v xpath.Value, countOnly bool, limit int) {
+	if countOnly && v.IsNodeSet() {
+		fmt.Fprintln(w, len(v.Nodes())+len(v.Attrs())) // one of the two is empty
+		return
+	}
+	var e NodeEncoder
+	e.writeText(w, v, limit)
+}
+
+// WriteFLWOR writes FLWOR results in the cxquery text format, each
+// tuple as WriteValue writes it. With countOnly only the tuple count
+// prints. A limit > 0 caps the printed lines across all tuples, as
+// AppendFLWORJSON caps its encoded items; limit <= 0 prints everything.
 func WriteFLWOR(w io.Writer, vals []xpath.Value, countOnly bool, limit int) {
 	if countOnly {
 		fmt.Fprintln(w, len(vals))
 		return
 	}
+	var e NodeEncoder
 	remaining := limit
 	for _, v := range vals {
 		if limit > 0 && remaining <= 0 {
 			return
 		}
-		if attrs := v.Attrs(); len(attrs) > 0 {
-			if limit > 0 && len(attrs) > remaining {
-				attrs = attrs[:remaining]
-			}
-			for _, a := range attrs {
-				fmt.Fprintf(w, "%s/@%s = %q\n", a.Owner, a.Name, a.Value)
-			}
-			remaining -= len(attrs)
-			continue
+		n, err := e.writeText(w, v, remaining)
+		if err != nil {
+			return
 		}
-		if v.IsNodeSet() {
-			nodes := v.Nodes()
-			if limit > 0 && len(nodes) > remaining {
-				nodes = nodes[:remaining]
-			}
-			bp := scratchPool.Get().(*[]byte)
-			var e NodeEncoder
-			for _, n := range nodes {
-				buf := e.AppendNodeText((*bp)[:0], n)
-				buf = append(buf, '\n')
-				*bp = buf[:0]
-				if _, err := w.Write(buf); err != nil {
-					scratchPool.Put(bp)
-					return
-				}
-			}
-			scratchPool.Put(bp)
-			remaining -= len(nodes)
-			continue
+		if limit > 0 {
+			remaining -= n
 		}
-		fmt.Fprintln(w, v.String())
-		remaining--
 	}
-}
-
-func clip(s string) string {
-	r := []rune(s)
-	if len(r) > 60 {
-		return string(r[:57]) + "..."
-	}
-	return s
 }

@@ -10,15 +10,13 @@ import (
 	"repro/internal/goddag"
 )
 
-// This file is the streaming side of result rendering: append-style
-// encoders that write one node at a time into a caller-supplied byte
-// slice, so the serving layer can emit arbitrarily large node-sets with
-// a small constant amount of scratch memory instead of materializing a
-// []NodeJSON. The byte output is pinned to the materializing encoders:
-// AppendNodeJSON produces exactly what encoding/json (SetEscapeHTML
-// false) produces for EncodeNode's NodeJSON, and AppendNodeText
-// produces exactly FormatNode — equivalence tests in this package
-// compare them byte for byte.
+// This file holds the append-style encoders every query result goes
+// through on its way to bytes: each writes one node (or string, or
+// integer) at a time into a caller-supplied byte slice, so arbitrarily
+// large node sets encode with a small constant amount of scratch memory
+// and no intermediate structures. The tests in this package check the
+// JSON against encoding/json (SetEscapeHTML false) over wire structs of
+// their own, and the text against strconv.Quote and fmt.
 
 // NodeSource is the pull contract the stream encoders consume: Next
 // returns nodes in document order and (nil, nil) at the end; Size
@@ -161,6 +159,10 @@ type NodeEncoder struct {
 	content *document.Content
 	starts  document.RuneCursor
 	ends    document.RuneCursor
+	// nodes feeds node-set Values through the NodeSource loops. It is
+	// allocated on first use only, so scalar results cost nothing, and
+	// then reused, so the tuples of one FLWOR result share it.
+	nodes *sliceSource
 }
 
 // runeSpan converts sp through the cursors, re-anchoring them when the
@@ -174,16 +176,15 @@ func (e *NodeEncoder) runeSpan(content *document.Content, sp document.Span) docu
 	return document.Span{Start: e.starts.RuneOffset(sp.Start), End: e.ends.RuneOffset(sp.End)}
 }
 
-// AppendNodeJSON appends the NodeJSON wire form of n, byte-identical to
-// marshalling EncodeNode(n) with encoding/json and SetEscapeHTML(false)
-// — including the omitempty behaviour of the hierarchy, tag and leaf
-// fields.
-func AppendNodeJSON(dst []byte, n goddag.Node) []byte {
-	var e NodeEncoder
-	return e.AppendNodeJSON(dst, n)
-}
-
-// AppendNodeJSON is the cursor-carrying form of the package function.
+// AppendNodeJSON appends the JSON wire form of one result node: its
+// place in the GODDAG and its extent as both byte and rune offsets into
+// the shared content, with the full dominated text,
+//
+//	{"kind":"element","hierarchy":"words","tag":"w","byteSpan":{"start":4,"end":9},"runeSpan":{"start":4,"end":8},"text":"hwæt"}
+//
+// kind is "element", "leaf" or "root"; hierarchy, tag (elements, and
+// the root's tag) and leaf (a leaf's index) are omitted when empty or
+// zero.
 func (e *NodeEncoder) AppendNodeJSON(dst []byte, n goddag.Node) []byte {
 	content := n.Document().Content()
 	sp := n.Span()
@@ -234,8 +235,8 @@ func (e *NodeEncoder) appendRuneSpan(dst []byte, content *document.Content, sp d
 }
 
 // appendClippedQuote appends the Go-quoted form of s clipped to 60
-// runes (57 runes + "..." when longer), byte-identical to
-// strconv.Quote(clip(s)) but without materializing the clipped string.
+// runes (57 runes + "..." when longer), without materializing the
+// clipped string.
 func appendClippedQuote(dst []byte, s string) []byte {
 	runes, cut := 0, -1
 	for i := range s {
@@ -254,14 +255,15 @@ func appendClippedQuote(dst []byte, s string) []byte {
 	return strconv.AppendQuote(dst, s)
 }
 
-// AppendNodeText appends the cxquery line format of n, byte-identical
-// to FormatNode.
-func AppendNodeText(dst []byte, n goddag.Node) []byte {
-	var e NodeEncoder
-	return e.AppendNodeText(dst, n)
-}
-
-// AppendNodeText is the cursor-carrying form of the package function.
+// AppendNodeText appends the cxquery line format of n:
+//
+//	hierarchy:tag[lo,hi) "text"    (elements)
+//	leaf#i[lo,hi) "text"           (leaves)
+//	root:tag "text"                (the root)
+//
+// Printed spans are character (rune) positions — the paper's
+// coordinates — converted from the internal byte spans at this output
+// edge. Text is clipped to 60 runes.
 func (e *NodeEncoder) AppendNodeText(dst []byte, n goddag.Node) []byte {
 	content := n.Document().Content()
 	switch v := n.(type) {
@@ -293,13 +295,17 @@ var scratchPool = sync.Pool{New: func() any {
 	return &b
 }}
 
-// WriteNodesText streams nodes from src as FormatNode lines. A limit
-// > 0 stops after limit nodes without pulling further; limit <= 0
+// WriteNodesText streams nodes from src as AppendNodeText lines. A
+// limit > 0 stops after limit nodes without pulling further; limit <= 0
 // writes everything. Returns the number of nodes written.
 func WriteNodesText(w io.Writer, src NodeSource, limit int) (int, error) {
+	var e NodeEncoder
+	return e.writeNodesText(w, src, limit)
+}
+
+func (e *NodeEncoder) writeNodesText(w io.Writer, src NodeSource, limit int) (int, error) {
 	bp := scratchPool.Get().(*[]byte)
 	defer scratchPool.Put(bp)
-	var e NodeEncoder
 	written := 0
 	for limit <= 0 || written < limit {
 		n, err := src.Next()

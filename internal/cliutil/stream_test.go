@@ -2,7 +2,6 @@ package cliutil
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"strconv"
 	"strings"
@@ -25,25 +24,28 @@ var jsonStringCases = []string{
 	"invalid \xff utf8 \xc3\x28 tail \xe2\x82", "trailing\xf0",
 }
 
-func stdlibJSONString(t *testing.T, s string) string {
-	t.Helper()
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	enc.SetEscapeHTML(false)
-	if err := enc.Encode(s); err != nil {
-		t.Fatal(err)
-	}
-	return strings.TrimSuffix(buf.String(), "\n")
-}
-
 func TestAppendJSONStringMatchesStdlib(t *testing.T) {
 	for _, s := range jsonStringCases {
 		got := string(AppendJSONString(nil, s))
-		want := stdlibJSONString(t, s)
+		want := stdlibJSON(t, s)
 		if got != want {
 			t.Errorf("AppendJSONString(%q):\n  got:  %s\n  want: %s", s, got, want)
 		}
 	}
+}
+
+// FuzzAppendJSONString checks the only JSON string producer of the
+// result encoders byte for byte against encoding/json on arbitrary
+// bytes, valid UTF-8 or not.
+func FuzzAppendJSONString(f *testing.F) {
+	for _, s := range jsonStringCases {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		if got, want := string(AppendJSONString(nil, s)), stdlibJSON(t, s); got != want {
+			t.Fatalf("AppendJSONString(%q):\n  got:  %s\n  want: %s", s, got, want)
+		}
+	})
 }
 
 // streamGridDoc builds one corpus configuration for encoder tests.
@@ -70,25 +72,20 @@ func allNodes(t *testing.T, doc *goddag.Document) []goddag.Node {
 	return append([]goddag.Node{doc.Root()}, ns...)
 }
 
-// TestAppendNodeJSONMatchesEncodeNode pins the streaming JSON encoder
-// to the materializing one, byte for byte, across hierarchies and
-// vocabularies (including multibyte text where byte and rune spans
-// diverge).
+// TestAppendNodeJSONMatchesEncodeNode checks the node JSON encoder byte
+// for byte against encoding/json over the reference wire struct, across
+// hierarchies and vocabularies (including multibyte text where byte and
+// rune spans diverge).
 func TestAppendNodeJSONMatchesEncodeNode(t *testing.T) {
 	vocabs := map[string][]string{"default": nil, "multibyte": corpus.MultibyteVocabulary}
 	for vn, vocab := range vocabs {
 		for _, h := range []int{1, 4, 8} {
 			t.Run(fmt.Sprintf("%s/h=%d", vn, h), func(t *testing.T) {
 				doc := streamGridDoc(t, h, vocab)
+				var e NodeEncoder
 				for _, n := range allNodes(t, doc) {
-					var buf bytes.Buffer
-					enc := json.NewEncoder(&buf)
-					enc.SetEscapeHTML(false)
-					if err := enc.Encode(EncodeNode(n)); err != nil {
-						t.Fatal(err)
-					}
-					want := strings.TrimSuffix(buf.String(), "\n")
-					got := string(AppendNodeJSON(nil, n))
+					want := stdlibJSON(t, encodeNode(n))
+					got := string(e.AppendNodeJSON(nil, n))
 					if got != want {
 						t.Fatalf("node %v:\n  got:  %s\n  want: %s", n, got, want)
 					}
@@ -98,31 +95,17 @@ func TestAppendNodeJSONMatchesEncodeNode(t *testing.T) {
 	}
 }
 
-// TestAppendNodeTextMatchesFormatNode pins the streaming text encoder
-// to the historical fmt-based line format.
+// TestAppendNodeTextMatchesFormatNode checks the text line encoder
+// against the fmt-based reference line format.
 func TestAppendNodeTextMatchesFormatNode(t *testing.T) {
 	vocabs := map[string][]string{"default": nil, "multibyte": corpus.MultibyteVocabulary}
 	for vn, vocab := range vocabs {
 		t.Run(vn, func(t *testing.T) {
 			doc := streamGridDoc(t, 4, vocab)
-			content := doc.Content()
+			var e NodeEncoder
 			for _, n := range allNodes(t, doc) {
-				got := string(AppendNodeText(nil, n))
-				// Reference: the original fmt.Sprintf formula.
-				var want string
-				switch v := n.(type) {
-				case *goddag.Element:
-					want = fmt.Sprintf("%s:%s%v %q", v.Hierarchy().Name(), v.Name(), content.RuneSpan(v.Span()), clip(v.Text()))
-				case goddag.Leaf:
-					want = fmt.Sprintf("leaf#%d%v %q", v.Index(), content.RuneSpan(v.Span()), clip(v.Text()))
-				default:
-					want = fmt.Sprintf("root:%s %q", n.Document().RootTag(), clip(n.Text()))
-				}
-				if got != want {
+				if got, want := string(e.AppendNodeText(nil, n)), formatNode(n); got != want {
 					t.Fatalf("node %v:\n  got:  %s\n  want: %s", n, got, want)
-				}
-				if got != FormatNode(n) {
-					t.Fatalf("FormatNode drifted from AppendNodeText: %q vs %q", FormatNode(n), got)
 				}
 			}
 		})
@@ -143,23 +126,6 @@ func TestAppendClippedQuote(t *testing.T) {
 		}
 	}
 }
-
-// sliceSource adapts a node slice to NodeSource for writer tests.
-type sliceSource struct {
-	ns []goddag.Node
-	i  int
-}
-
-func (s *sliceSource) Next() (goddag.Node, error) {
-	if s.i >= len(s.ns) {
-		return nil, nil
-	}
-	n := s.ns[s.i]
-	s.i++
-	return n, nil
-}
-
-func (s *sliceSource) Size() int { return len(s.ns) - s.i }
 
 func TestWriteNodesTextMatchesWriteValue(t *testing.T) {
 	doc := streamGridDoc(t, 4, corpus.MultibyteVocabulary)

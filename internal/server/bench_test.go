@@ -68,11 +68,13 @@ func BenchmarkServeQueryLarge(b *testing.B) {
 	}
 }
 
-// TestServeAllocsFlat asserts the streaming path's allocation count is
-// independent of the result size: a ~2000-node response must allocate
-// about the same number of objects per request as an 8-node response of
-// the same query (byte volume differs, object count must not — the
-// node encoding reuses pooled scratch, not per-node buffers).
+// TestServeAllocsFlat asserts a response's allocation count is
+// independent of the result size: a ~2000-node (or -attribute)
+// response must allocate about the same number of objects per request
+// as an 8-item response of the same query (byte volume differs, object
+// count must not — the encoders reuse pooled scratch, not per-node
+// buffers). It covers streamed node sets in both formats, attribute
+// sets, and FLWOR results, whose evaluation is the same at both sizes.
 func TestServeAllocsFlat(t *testing.T) {
 	s, _ := newFixture(t, 2000, Config{})
 	h := s.Handler()
@@ -92,15 +94,20 @@ func TestServeAllocsFlat(t *testing.T) {
 			}
 		})
 	}
-	for _, format := range []string{"json", "text"} {
-		small := run(fmt.Sprintf(`{"doc":"ms","query":"//w","format":%q,"limit":8}`, format))
-		large := run(fmt.Sprintf(`{"doc":"ms","query":"//w","format":%q}`, format))
-		// ~250x more result nodes must not mean more allocations; allow
-		// a small constant of slack for buffer-size-class noise.
+	for _, c := range []struct{ name, query string }{
+		{"json", `"query":"//w","format":"json"`},
+		{"text", `"query":"//w","format":"text"`},
+		{"attrs-json", `"query":"//w/@n"`},
+		{"flwor-json", `"flwor":"for $d in //dmg return $d/overlapping::w"`},
+	} {
+		small := run(fmt.Sprintf(`{"doc":"ms",%s,"limit":8}`, c.query))
+		large := run(fmt.Sprintf(`{"doc":"ms",%s}`, c.query))
+		// Many times more result items must not mean more allocations;
+		// allow a small constant of slack for buffer-size-class noise.
 		if large > small+25 {
-			t.Errorf("%s: allocs scale with result size: %.0f (2000 nodes) vs %.0f (8 nodes)", format, large, small)
+			t.Errorf("%s: allocs scale with result size: %.0f (all items) vs %.0f (8 items)", c.name, large, small)
 		}
-		t.Logf("%s: allocs/request: %.0f large, %.0f small", format, large, small)
+		t.Logf("%s: allocs/request: %.0f large, %.0f small", c.name, large, small)
 	}
 }
 

@@ -54,11 +54,21 @@
 //	{"doc": "ms", "query": "//dmg/overlapping::w", "limit": 100}
 //	{"doc": "ms", "flwor": "for $w in //w return $w", "format": "text"}
 //
-// and responds with the result in the requested format: "json" (default;
-// cliutil.ValueJSON — hierarchy, tag, byte and rune span, text per node),
-// "text" (byte-identical to the cxquery CLI output for the same document
-// and query — both render through internal/cliutil), or "count". The
-// node cap (request "limit", else Config.MaxResults) bounds encoded
+// and responds with the result in the requested format: "json"
+// (default), "text" (byte-identical to the cxquery CLI output for the
+// same document and query), or "count". Every format is rendered by the
+// append encoders of internal/cliutil, the ones cxquery uses. A JSON
+// response is one envelope:
+//
+//	{"doc":"ms","query":"//w","result":{"type":"node-set","nodes":[...],"count":4122,"truncated":true},
+//	 "plan":[...],"trace":{...},"elapsed_us":310}
+//
+// An XPath result comes as "result" (see cliutil.AppendValueJSON for
+// node sets, attribute sets and scalars), a FLWOR result as "results",
+// one value per tuple, plus "truncated" when the node cap left tuples
+// out. "plan" answers "explain", "trace" answers "trace", and
+// elapsed_us is evaluation plus encoding, for XPath and FLWOR alike.
+// The node cap (request "limit", else Config.MaxResults) bounds encoded
 // nodes in every format except "count": JSON responses flag truncation,
 // text responses simply stop at the cap, so text output matches the
 // (uncapped) CLI exactly for results within the cap.
@@ -345,7 +355,9 @@ func (s *Server) observeQuery(req QueryRequest, tr *obs.Trace, status int, errTe
 	})
 }
 
-// QueryRequest is the POST /query body.
+// QueryRequest is the POST /query body. The package comment describes
+// the response, whose elapsed_us covers evaluation plus encoding for
+// XPath and FLWOR alike.
 type QueryRequest struct {
 	Doc     string `json:"doc"`
 	Query   string `json:"query,omitempty"`
@@ -363,54 +375,11 @@ type QueryRequest struct {
 	TimeoutMS int `json:"timeoutMS,omitempty"`
 }
 
-// StageJSON is one measured stage of a traced request.
-type StageJSON struct {
-	Name string `json:"name"`
-	US   int64  `json:"us"`
-}
-
-// TraceJSON is the explain-analyze payload of a "trace": true request:
-// the stage breakdown in execution order, actual total, and the
-// nodes-visited count. The stages cover work up to response assembly;
-// the final socket write is not included.
-type TraceJSON struct {
-	ID      string      `json:"id"`
-	Stages  []StageJSON `json:"stages"`
-	TotalUS int64       `json:"total_us"`
-	Visited int64       `json:"visited,omitempty"`
-}
-
-// traceJSON renders tr for the response; nil in, nil out.
-func traceJSON(tr *obs.Trace) *TraceJSON {
-	if tr == nil {
-		return nil
-	}
-	st := tr.Stages()
-	out := &TraceJSON{ID: tr.ID, TotalUS: tr.Total().Microseconds(), Visited: tr.Visited(),
-		Stages: make([]StageJSON, len(st))}
-	for i, s := range st {
-		out.Stages[i] = StageJSON{Name: s.Name, US: s.Dur.Microseconds()}
-	}
-	return out
-}
-
 // nextRequestID mints a short id for traced requests — unique within
 // the process, stable across the response, the slow-query log, and
 // /debug/requests.
 func (s *Server) nextRequestID() string {
 	return "q" + strconv.FormatUint(s.reqSeq.Add(1), 10)
-}
-
-// QueryResponse is the POST /query JSON response.
-type QueryResponse struct {
-	Doc       string              `json:"doc"`
-	Query     string              `json:"query"`
-	Result    *cliutil.ValueJSON  `json:"result,omitempty"`    // XPath
-	Results   []cliutil.ValueJSON `json:"results,omitempty"`   // FLWOR, one per tuple
-	Truncated bool                `json:"truncated,omitempty"` // FLWOR: the node cap cut tuples short
-	Plan      []string            `json:"plan,omitempty"`      // explain output, one decision per line
-	Trace     *TraceJSON          `json:"trace,omitempty"`     // explain-analyze breakdown ("trace": true)
-	ElapsedUS int64               `json:"elapsed_us"`
 }
 
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
@@ -507,21 +476,26 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		// inside Next, interleaved with encoding by design.
 		switch req.Format {
 		case "", "json":
+			// Append straight into the response buffer's free capacity and
+			// commit with one Write at the end (the bytes.Buffer.
+			// AvailableBuffer contract): on a warm pooled buffer the bytes
+			// are encoded in place. Error returns never Write, so a partial
+			// encode leaves the body untouched for failBuf.
+			buf := appendQueryHead(br.body.AvailableBuffer(), req.Doc, req.Query)
+			buf = append(buf, `,"result":`...)
+			sp := tr.Begin("encode")
 			if v, ok := st.Value(); ok {
-				sp := tr.Begin("encode")
-				enc := cliutil.EncodeValue(v, limit)
-				sp.End()
-				st.Close() // fold the evaluator's visit count into tr now
-				s.okBuf(br, QueryResponse{
-					Doc: req.Doc, Query: req.Query, Result: &enc, Plan: plan,
-					Trace:     s.respTrace(req, tr),
-					ElapsedUS: time.Since(start).Microseconds(),
-				})
+				buf = cliutil.AppendValueJSON(buf, v, false, limit)
+			} else {
+				buf, err = cliutil.AppendNodeSetJSON(buf, st, limit)
+			}
+			sp.End()
+			if err != nil {
+				s.failEval(br, err)
 				return nil
 			}
-			if err := s.streamNodeSetJSON(br, req, st, tr, limit, plan, start); err != nil {
-				s.failEval(br, err)
-			}
+			st.Close() // fold the evaluator's visit count into tr before it renders
+			br.body.Write(appendQueryTail(buf, req, plan, tr, start))
 		case "text":
 			sp := tr.Begin("encode")
 			defer sp.End()
@@ -573,16 +547,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	br.flush(w)
 }
 
-// respTrace finalizes the response's trace payload: only explicit
-// "trace": true requests get it (threshold-driven traces exist for the
-// slow-query log alone).
-func (s *Server) respTrace(req QueryRequest, tr *obs.Trace) *TraceJSON {
-	if !req.Trace {
-		return nil
-	}
-	return traceJSON(tr)
-}
-
 // failEval records an evaluation failure in the buffered response:
 // lifecycle errors (deadline, disconnect, budget) get their dedicated
 // status, everything else is an unprocessable query.
@@ -594,67 +558,19 @@ func (s *Server) failEval(br *bufferedResponse, err error) {
 	s.failBuf(br, http.StatusUnprocessableEntity, "%v", err)
 }
 
-// streamNodeSetJSON encodes a node-set stream as the QueryResponse
-// envelope, node by node through the pooled append encoders — the
-// response decodes identically to the materializing path (result type,
-// nodes, full count, truncation flag) but allocates a small constant
-// amount of scratch regardless of result size. When the limit cuts the
-// stream short the remainder is drained (counted, not encoded) so Count
-// still reports the true result size.
-func (s *Server) streamNodeSetJSON(br *bufferedResponse, req QueryRequest, st *xpath.Stream, tr *obs.Trace, limit int, plan []string, start time.Time) error {
-	// Append straight into the response buffer's free capacity and
-	// commit with one Write at the end (the bytes.Buffer.AvailableBuffer
-	// contract): on a warm pooled buffer the bytes are encoded in place,
-	// with no scratch-to-body copy at all. Error returns never Write, so
-	// a partial encode leaves the body untouched for failBuf.
-	buf := br.body.AvailableBuffer()
+// appendQueryHead opens a /query JSON envelope.
+func appendQueryHead(buf []byte, doc, query string) []byte {
 	buf = append(buf, `{"doc":`...)
-	buf = cliutil.AppendJSONString(buf, req.Doc)
+	buf = cliutil.AppendJSONString(buf, doc)
 	buf = append(buf, `,"query":`...)
-	buf = cliutil.AppendJSONString(buf, req.Query)
-	buf = append(buf, `,"result":{"type":"node-set"`...)
+	return cliutil.AppendJSONString(buf, query)
+}
 
-	sp := tr.Begin("encode")
-	total := st.Size() // exact for scan plans, -1 otherwise
-	written := 0
-	var ne cliutil.NodeEncoder // rune cursors amortize span conversion
-	for limit <= 0 || written < limit {
-		n, err := st.Next()
-		if err != nil {
-			return err
-		}
-		if n == nil {
-			break
-		}
-		if written == 0 {
-			buf = append(buf, `,"nodes":[`...)
-		} else {
-			buf = append(buf, ',')
-		}
-		buf = ne.AppendNodeJSON(buf, n)
-		written++
-	}
-	count, truncated := written, false
-	if total >= 0 {
-		count, truncated = total, written < total
-	} else if n, err := st.Next(); err != nil {
-		return err
-	} else if n != nil {
-		rest, err := st.Count()
-		if err != nil {
-			return err
-		}
-		count, truncated = written+1+rest, true
-	}
-	if written > 0 {
-		buf = append(buf, ']')
-	}
-	buf = append(buf, `,"count":`...)
-	buf = cliutil.AppendUint(buf, int64(count))
-	if truncated {
-		buf = append(buf, `,"truncated":true`...)
-	}
-	buf = append(buf, '}')
+// appendQueryTail closes a /query JSON envelope after its result: the
+// plan when there is one, the trace when the request asked for it
+// (threshold-driven traces exist for the slow-query log alone), and
+// elapsed_us, which therefore covers evaluation and encoding.
+func appendQueryTail(buf []byte, req QueryRequest, plan []string, tr *obs.Trace, start time.Time) []byte {
 	for i, line := range plan {
 		if i == 0 {
 			buf = append(buf, `,"plan":[`...)
@@ -666,25 +582,23 @@ func (s *Server) streamNodeSetJSON(br *bufferedResponse, req QueryRequest, st *x
 	if len(plan) > 0 {
 		buf = append(buf, ']')
 	}
-	sp.End()
 	if req.Trace {
-		// Close the stream first so the evaluator's visit count is
-		// folded into the trace; Close is idempotent for the deferred
-		// one. The stage durations are complete except the tail of the
-		// encode (these very bytes), which is noise.
-		st.Close()
 		buf = appendTraceJSON(buf, tr)
 	}
 	buf = append(buf, `,"elapsed_us":`...)
 	buf = cliutil.AppendUint(buf, time.Since(start).Microseconds())
-	buf = append(buf, '}', '\n')
-	br.body.Write(buf)
-	return nil
+	return append(buf, '}', '\n')
 }
 
-// appendTraceJSON renders `,"trace":{...}` into the streaming encoder's
-// buffer — the hand-rolled twin of the TraceJSON struct, kept in the
-// same shape so both /query paths decode identically.
+// appendTraceJSON renders the explain-analyze payload of a "trace":
+// true request,
+//
+//	,"trace":{"id":"q7","stages":[{"name":"decode","us":12}, ...],"total_us":412,"visited":4122}
+//
+// the stage breakdown in execution order, the actual total, and the
+// nodes-visited count (omitted when zero). The stages cover work up to
+// response assembly; the tail of the encode (these very bytes) and the
+// socket write are not included.
 func appendTraceJSON(buf []byte, tr *obs.Trace) []byte {
 	if tr == nil {
 		return buf
@@ -708,8 +622,7 @@ func appendTraceJSON(buf []byte, tr *obs.Trace) []byte {
 		buf = append(buf, `,"visited":`...)
 		buf = cliutil.AppendUint(buf, v)
 	}
-	buf = append(buf, '}')
-	return buf
+	return append(buf, '}')
 }
 
 // bufferedResponse accumulates one response while a document lock is
@@ -772,13 +685,6 @@ func (br *bufferedResponse) flush(w http.ResponseWriter) {
 	w.Write(br.body.Bytes())
 }
 
-// okBuf encodes a JSON success body into the buffer.
-func (s *Server) okBuf(br *bufferedResponse, v any) {
-	enc := json.NewEncoder(&br.body)
-	enc.SetEscapeHTML(false)
-	enc.Encode(v)
-}
-
 // failBuf records a JSON error response in the buffer.
 func (s *Server) failBuf(br *bufferedResponse, code int, format string, args ...any) {
 	s.errors.Add(1)
@@ -802,43 +708,23 @@ func (s *Server) serveFLWOR(ctx context.Context, br *bufferedResponse, doc *core
 		s.failEval(br, err)
 		return
 	}
-	elapsed := time.Since(start)
 	sp := tr.Begin("encode")
 	switch req.Format {
 	case "", "json":
-		// The node cap is a per-response budget: tuples are encoded until
-		// their cumulative nodes/attrs exhaust it, then the tuple list is
-		// cut short and the response marked truncated — a FLWOR over a
-		// large document cannot bypass MaxResults by returning one node
-		// per tuple.
-		out := make([]cliutil.ValueJSON, 0, len(vals))
-		remaining := limit
+		// The node cap is a per-response budget across tuples, so a FLWOR
+		// over a large document cannot bypass MaxResults by returning one
+		// node per tuple.
+		buf := appendQueryHead(br.body.AvailableBuffer(), req.Doc, req.FLWOR)
 		truncated := false
-		for _, v := range vals {
-			if limit > 0 && remaining <= 0 {
-				truncated = true
-				break
-			}
-			enc := cliutil.EncodeValue(v, remaining)
-			truncated = truncated || enc.Truncated
-			if limit > 0 {
-				switch enc.Type {
-				case "node-set":
-					remaining -= len(enc.Nodes)
-				case "attribute-set":
-					remaining -= len(enc.Attrs)
-				default:
-					remaining-- // scalars count one line, as in the text format
-				}
-			}
-			out = append(out, enc)
+		if len(vals) > 0 {
+			buf = append(buf, `,"results":`...)
+			buf, truncated = cliutil.AppendFLWORJSON(buf, vals, limit)
+		}
+		if truncated {
+			buf = append(buf, `,"truncated":true`...)
 		}
 		sp.End() // before the trace renders, so the encode stage is in it
-		s.okBuf(br, QueryResponse{
-			Doc: req.Doc, Query: req.FLWOR, Results: out, Truncated: truncated,
-			Trace:     s.respTrace(req, tr),
-			ElapsedUS: elapsed.Microseconds(),
-		})
+		br.body.Write(appendQueryTail(buf, req, nil, tr, start))
 	case "text":
 		br.contentType = "text/plain; charset=utf-8"
 		cliutil.WriteFLWOR(&br.body, vals, false, limit)

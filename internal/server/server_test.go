@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -174,7 +175,7 @@ func TestQueryJSON(t *testing.T) {
 			t.Fatalf("%s: %d %s", q, w.Code, w.Body.String())
 		}
 		var resp struct {
-			Result cliutil.ValueJSON `json:"result"`
+			Result ValueJSON `json:"result"`
 		}
 		if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil {
 			t.Fatal(err)
@@ -183,7 +184,7 @@ func TestQueryJSON(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := cliutil.EncodeValue(v, 10000)
+		want := encodeValue(v, 10000)
 		if resp.Result.Count != want.Count || resp.Result.Type != want.Type {
 			t.Fatalf("%s: got %d %s nodes, want %d %s", q,
 				resp.Result.Count, resp.Result.Type, want.Count, want.Type)
@@ -325,7 +326,7 @@ func TestQueryFLWOR(t *testing.T) {
 	// JSON form: one result per tuple.
 	w = post(t, h, fmt.Sprintf(`{"doc":"standoff","flwor":%q}`, fl))
 	var resp struct {
-		Results []cliutil.ValueJSON `json:"results"`
+		Results []ValueJSON `json:"results"`
 	}
 	if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil {
 		t.Fatal(err)
@@ -339,7 +340,7 @@ func TestQueryLimitTruncates(t *testing.T) {
 	s, _ := newFixture(t, 120, Config{})
 	w := post(t, s.Handler(), `{"doc":"ms","query":"//w","limit":5}`)
 	var resp struct {
-		Result cliutil.ValueJSON `json:"result"`
+		Result ValueJSON `json:"result"`
 	}
 	if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil {
 		t.Fatal(err)
@@ -356,7 +357,7 @@ func TestLimitClampedToMaxResults(t *testing.T) {
 	s, _ := newFixture(t, 120, Config{MaxResults: 4})
 	w := post(t, s.Handler(), `{"doc":"ms","query":"//w","limit":1000000}`)
 	var resp struct {
-		Result cliutil.ValueJSON `json:"result"`
+		Result ValueJSON `json:"result"`
 	}
 	if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil {
 		t.Fatal(err)
@@ -493,5 +494,126 @@ func TestConcurrentMixedLoad(t *testing.T) {
 	st := s.cat.Stats()
 	if st.Loads != 3 {
 		t.Fatalf("catalog loads = %d, want 3 (singleflight under concurrency)", st.Loads)
+	}
+}
+
+// TestQueryResponseGrid holds every /query response shape against a
+// reference: the E4 queries plus a scalar, an attribute set, an empty
+// attribute set, a limit-truncated node set and FLWORs, each as json,
+// text and count. JSON must decode to exactly the keys and values
+// encoding/json gives the reference envelope (elapsed_us aside); text
+// and count must equal the cxquery renderers' output byte for byte.
+func TestQueryResponseGrid(t *testing.T) {
+	s, standoffPath := newFixture(t, 120, Config{})
+	h := s.Handler()
+	ref, err := cliutil.Load("auto", []string{standoffPath})
+	if err != nil {
+		t.Fatal(err)
+	}
+	type gridCase struct {
+		query, flwor string
+		limit        int
+	}
+	var cases []gridCase
+	for _, q := range append(e4Queries, "count(//w)", "//w/@n", "//w/@nonexistent", "string(//nosuch)") {
+		cases = append(cases, gridCase{query: q})
+	}
+	cases = append(cases,
+		gridCase{query: "//w", limit: 5},
+		gridCase{query: "//dmg/overlapping::*", limit: 2}, // a semi-join stream: size unknown, drained to count
+		gridCase{query: "//w/@n", limit: 5},
+		gridCase{flwor: "for $d in //dmg return $d/overlapping::w"},
+		gridCase{flwor: "for $d in //dmg return $d/overlapping::w", limit: 3},
+		gridCase{flwor: "for $w in //w return $w/@n", limit: 4},
+		gridCase{flwor: "for $d in //dmg return count($d/overlapping::w)"},
+		gridCase{flwor: "for $d in //nosuch return $d"},
+	)
+	for _, c := range cases {
+		limit := c.limit
+		if limit == 0 {
+			limit = 10000 // Config.MaxResults default
+		}
+		var want QueryResponse
+		var text, count bytes.Buffer
+		if c.flwor != "" {
+			vals, err := xquery.MustCompile(c.flwor).Eval(ref.GODDAG())
+			if err != nil {
+				t.Fatal(err)
+			}
+			want = QueryResponse{Doc: "standoff", Query: c.flwor}
+			want.Results, want.Truncated = encodeFLWOR(vals, limit)
+			cliutil.WriteFLWOR(&text, vals, false, limit)
+			cliutil.WriteFLWOR(&count, vals, true, 0)
+		} else {
+			v, err := xpath.MustCompile(c.query).Eval(ref.GODDAG())
+			if err != nil {
+				t.Fatal(err)
+			}
+			enc := encodeValue(v, limit)
+			want = QueryResponse{Doc: "standoff", Query: c.query, Result: &enc}
+			cliutil.WriteValue(&text, v, false, limit)
+			cliutil.WriteValue(&count, v, true, 0)
+		}
+		wantJSON, err := json.Marshal(want)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, format := range []string{"json", "text", "count"} {
+			body, err := json.Marshal(QueryRequest{Doc: "standoff", Query: c.query, FLWOR: c.flwor, Limit: c.limit, Format: format})
+			if err != nil {
+				t.Fatal(err)
+			}
+			w := post(t, h, string(body))
+			name := fmt.Sprintf("%s%s limit=%d %s", c.query, c.flwor, c.limit, format)
+			if w.Code != http.StatusOK {
+				t.Fatalf("%s: %d %s", name, w.Code, w.Body.String())
+			}
+			got := w.Body.String()
+			switch format {
+			case "json":
+				var gotAny, wantAny map[string]any
+				if err := json.Unmarshal(w.Body.Bytes(), &gotAny); err != nil {
+					t.Fatalf("%s: %v\n%s", name, err, clipStr(got))
+				}
+				if us, ok := gotAny["elapsed_us"].(float64); !ok || us < 0 {
+					t.Fatalf("%s: elapsed_us = %v", name, gotAny["elapsed_us"])
+				}
+				gotAny["elapsed_us"] = 0.0
+				if err := json.Unmarshal(wantJSON, &wantAny); err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(gotAny, wantAny) {
+					t.Errorf("%s:\n  got:  %s\n  want: %s", name, clipStr(got), clipStr(string(wantJSON)))
+				}
+				if !strings.HasSuffix(got, "}\n") {
+					t.Errorf("%s: response does not end in one newline: %q", name, got[max(0, len(got)-20):])
+				}
+			case "text":
+				if got != text.String() {
+					t.Errorf("%s:\n  server: %q\n  cli:    %q", name, clipStr(got), clipStr(text.String()))
+				}
+			case "count":
+				if got != count.String() {
+					t.Errorf("%s: server %q, cli %q", name, got, count.String())
+				}
+			}
+		}
+	}
+}
+
+// TestEmptyAttributeSetIsTyped: an attribute query that selects nothing
+// answers as an empty attribute set, not as a node set.
+func TestEmptyAttributeSetIsTyped(t *testing.T) {
+	s, _ := newFixture(t, 40, Config{})
+	w := post(t, s.Handler(), `{"doc":"ms","query":"//w/@nonexistent"}`)
+	if w.Code != http.StatusOK {
+		t.Fatalf("%d %s", w.Code, w.Body.String())
+	}
+	var resp QueryResponse
+	if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil {
+		t.Fatal(err)
+	}
+	if resp.Result == nil || resp.Result.Type != "attribute-set" || resp.Result.Count != 0 {
+		t.Fatalf("empty attribute set answered as %s", w.Body.String())
 	}
 }
