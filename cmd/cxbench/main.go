@@ -25,8 +25,10 @@
 //	       the HTTP handler vs direct Eval, and cold catalog loads per
 //	       source form (tracked in BENCH_serve.json)
 //	EDIT   per-edit index maintenance: incremental in-place repair vs the
-//	       forced invalidate-and-rebuild path it replaced, plus the cost
-//	       of the first query after an edit (tracked in BENCH_edit.json)
+//	       forced invalidate-and-rebuild path it replaced, the cost of
+//	       the first query after an edit, and catalog commit latency
+//	       (op batches, undo/redo) with the write-ahead log on and the
+//	       undo history full (tracked in BENCH_edit.json)
 package main
 
 import (
@@ -48,10 +50,12 @@ import (
 
 	"repro/internal/baseline"
 	"repro/internal/catalog"
+	"repro/internal/core"
 	"repro/internal/corpus"
 	"repro/internal/document"
 	"repro/internal/drivers"
 	"repro/internal/dtd"
+	"repro/internal/editor"
 	"repro/internal/faultfs"
 	"repro/internal/goddag"
 	"repro/internal/sacx"
@@ -948,6 +952,112 @@ func (b *bench) edit() {
 				Strategy: "query-after-edit-rebuild", Query: "count(//w)", NsPerOp: tQueryRebuild.Nanoseconds(), Elements: elements})
 	}
 	fmt.Println("note: an edit is one element insertion or removal on a warm document; rebuild forces the pre-repair invalidate-and-rebuild path.")
+	b.editCommit(8000)
+}
+
+// editCommit measures whole commits through the catalog, the latency a
+// client of POST /docs/{id}/edit, /undo and /redo waits for: a catalog
+// over one words-word .gdag with the write-ahead log on, its undo
+// history filled first (editor.DefaultHistoryLimit batches and then
+// some). A batch marks the next word and sets an attribute on the mark,
+// removing the oldest mark past eight so the document stays the same
+// size; an undo/redo pair steps the history back and forth. Rows report
+// the p50 and the mean per commit (the mean carries the amortized
+// checkpoints).
+func (b *bench) editCommit(words int) {
+	cfg := corpus.DefaultConfig(words)
+	g, err := corpus.Generate(cfg)
+	if err != nil {
+		fatal(err)
+	}
+	dir, err := os.MkdirTemp("", "cxbench-commit")
+	if err != nil {
+		fatal(err)
+	}
+	defer os.RemoveAll(dir)
+	if err := store.Save(filepath.Join(dir, "ms.gdag"), g); err != nil {
+		fatal(err)
+	}
+	var spans []document.Span
+	for _, el := range g.ElementsNamed("w") {
+		spans = append(spans, el.Span())
+	}
+	// Marks go in word order, so a new mark is always the last one.
+	sort.Slice(spans, func(i, j int) bool { return spans[i].Start < spans[j].Start })
+	cat, err := catalog.Open(dir, catalog.Options{})
+	if err != nil {
+		fatal(err)
+	}
+	const keep, warm, timed, pairs = 8, editor.DefaultHistoryLimit + 16, 128, 32
+	if len(spans) < warm+timed {
+		fatal(fmt.Errorf("edit commit bench: %d words, need %d", len(spans), warm+timed))
+	}
+	marks := 0
+	batch := func(i int) time.Duration {
+		sp := spans[i]
+		ops := []editor.Op{
+			{Op: "insert-markup", Hierarchy: "commits", Tag: "mark", Start: sp.Start, End: sp.End},
+			{Op: "set-attr", Hierarchy: "commits", Index: marks, Name: "n", Value: fmt.Sprint(i)},
+		}
+		marks++
+		if marks > keep {
+			ops = append(ops, editor.Op{Op: "remove-markup", Hierarchy: "commits", Index: 0})
+			marks--
+		}
+		start := time.Now()
+		if err := cat.UpdateBatch("ms", ops, nil); err != nil {
+			fatal(err)
+		}
+		return time.Since(start)
+	}
+	history := func(undo bool) time.Duration {
+		start := time.Now()
+		err := cat.Update("ms", func(d *core.Document) error {
+			if undo {
+				return d.Edit().Undo()
+			}
+			return d.Edit().Redo()
+		})
+		if err != nil {
+			fatal(err)
+		}
+		return time.Since(start)
+	}
+	for i := 0; i < warm; i++ {
+		batch(i)
+	}
+	var batches, moves []time.Duration
+	for i := 0; i < timed; i++ {
+		batches = append(batches, batch(warm+i))
+	}
+	for i := 0; i < pairs; i++ {
+		moves = append(moves, history(true), history(false))
+	}
+	stats := func(ds []time.Duration) (p50, mean time.Duration) {
+		var sum time.Duration
+		for _, d := range ds {
+			sum += d
+		}
+		sorted := append([]time.Duration(nil), ds...)
+		sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
+		return sorted[len(sorted)/2], sum / time.Duration(len(ds))
+	}
+	elements := g.Stats().Elements
+	fmt.Printf("\n%8s %4s %9s %18s %10s %11s\n", "words", "h", "elements", "commit", "p50_ms", "mean_ms")
+	for _, r := range []struct {
+		name string
+		ds   []time.Duration
+	}{{"commit-batch", batches}, {"commit-undo-redo", moves}} {
+		p50, mean := stats(r.ds)
+		fmt.Printf("%8d %4d %9d %18s %10.2f %11.2f\n", words, cfg.Hierarchies, elements, r.name,
+			float64(p50.Microseconds())/1000, float64(mean.Microseconds())/1000)
+		b.rows = append(b.rows,
+			benchRow{Experiment: "EDIT", Words: words, Hierarchies: cfg.Hierarchies,
+				Strategy: r.name, NsPerOp: p50.Nanoseconds(), Elements: elements},
+			benchRow{Experiment: "EDIT", Words: words, Hierarchies: cfg.Hierarchies,
+				Strategy: r.name + "-mean", NsPerOp: mean.Nanoseconds(), Elements: elements})
+	}
+	fmt.Printf("note: commits through catalog.UpdateBatch / catalog.Update(Undo|Redo), WAL on, history full (%d batches before timing).\n", warm)
 }
 
 func serveOnce(h http.Handler, body string) {

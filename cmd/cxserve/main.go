@@ -58,7 +58,9 @@
 // same way. -max-visited additionally bounds the nodes one evaluation
 // may visit (413 when exhausted), so a single hostile query cannot
 // monopolize a core regardless of deadline. -slow-query logs and counts
-// evaluations slower than the threshold; /stats reports cancelled,
+// evaluations slower than the threshold, and logs slower edits, undos
+// and redos with their lockWait/log/apply/checkpoint breakdown; /stats
+// reports cancelled,
 // timed-out, budget-exceeded, and slow-query totals.
 //
 // Observability: one metrics registry spans the server and the catalog;
@@ -70,13 +72,15 @@
 // text or json. -debug-addr opens a second listener with net/http/pprof,
 // /metrics, and /debug/requests — profiling stays off the serving port.
 //
-// Durability: with -wal (the default) every committed edit batch is
-// appended to a per-document write-ahead log (<id>.wal, next to the
-// source) and fsynced before it applies; a crash before the full save
-// lands is recovered by replaying the log on the next start. A disk
-// that keeps failing degrades the affected document — then the whole
-// catalog — to read-only (503 on writes; /healthz reports "degraded")
-// while reads continue. -max-inflight bounds concurrently served
+// Durability: with -wal (the default) every edit batch, undo and redo
+// is committed by appending it to a per-document write-ahead log
+// (<id>.wal, next to the source) and fsyncing it; the <id>.gdag file is
+// a checkpoint, rewritten only once the log has grown past it and at
+// shutdown. A crash is recovered by replaying the log records past the
+// checkpoint on the next start. With -wal=false every commit is saved
+// in full instead. A disk that keeps failing degrades the affected
+// document — then the whole catalog — to read-only (503 on writes;
+// /healthz reports "degraded") while reads continue. -max-inflight bounds concurrently served
 // requests; excess load is shed with 503 + Retry-After instead of
 // queuing without bound, and handler panics are logged and answered
 // with a JSON 500 rather than killing the connection.
@@ -88,8 +92,9 @@
 //	curl -s -X POST localhost:8080/query \
 //	     -d '{"doc":"ms","query":"count(//line/covered::w)"}'
 //
-// Shutdown: SIGINT/SIGTERM drain in-flight requests (up to 5s) before
-// exiting.
+// Shutdown: SIGINT/SIGTERM drain in-flight requests (up to 5s), then
+// checkpoint every document with logged edits and close the logs, so
+// the next start replays nothing.
 package main
 
 import (
@@ -117,11 +122,11 @@ func main() {
 		cacheSize  = flag.Int("cache", 256, "compiled-query LRU capacity")
 		timeout    = flag.Duration("query-timeout", 10*time.Second, "default end-to-end request deadline (0 = none)")
 		maxVisited = flag.Int("max-visited", 0, "max nodes one query evaluation may visit (0 = unlimited)")
-		slowQuery  = flag.Duration("slow-query", 0, "log queries slower than this (0 = disabled)")
+		slowQuery  = flag.Duration("slow-query", 0, "log queries and edits slower than this, with their stage breakdown (0 = disabled)")
 		maxBody    = flag.Int64("max-body", 1<<20, "maximum /query body bytes")
 		maxResults = flag.Int("max-results", 10000, "default cap on encoded result nodes (-1 = unlimited)")
 		readonly   = flag.Bool("readonly", false, "disable the edit/undo/redo endpoints")
-		wal        = flag.Bool("wal", true, "write-ahead log edit batches for crash recovery")
+		wal        = flag.Bool("wal", true, "commit edits through a write-ahead log and checkpoint periodically (false: save every commit in full)")
 		inflight   = flag.Int("max-inflight", 256, "maximum concurrently served requests (-1 = unlimited)")
 		debugAddr  = flag.String("debug-addr", "", "side listener for pprof + /metrics + /debug/requests (off by default)")
 		logFormat  = flag.String("log-format", "text", "log output format: text or json")
@@ -202,6 +207,9 @@ func main() {
 	shutCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	if err := hs.Shutdown(shutCtx); err != nil {
+		fatal(err)
+	}
+	if err := cat.Close(); err != nil {
 		fatal(err)
 	}
 }

@@ -36,18 +36,22 @@
 //     they finish. A mapped document holds its file mapping only until
 //     its first query materializes it, so eviction never has a mapping
 //     to wait for (one evicted untouched is unmapped when collected).
-//     Documents with unsaved edits (dirty) or an edit in flight are
-//     never evicted.
+//     Documents with unpersisted edits (dirty) or an edit in flight are
+//     never evicted; a document whose write-ahead log merely holds
+//     records past its checkpoint may be, and replays them on reload.
 //
 // Documents are editable. Each entry carries a read/write lock: View
 // runs a reader under the read lock (any number in parallel), Update
 // runs an editor under the write lock (writers serialize, readers see
-// either the pre- or post-edit state, never a torn one). A successful
-// Update is persisted immediately — the document is encoded to
-// <id>.gdag in the catalog directory via an atomic temp-file + rename
-// (store.Save) and the entry repoints to that file, so a later eviction
-// and reload reproduces the edited document. The dirty flag is visible
-// in stats only in the window where a save failed.
+// either the pre- or post-edit state, never a torn one). An edit is
+// committed once its write-ahead-log record is fsynced (see durable.go):
+// <id>.wal holds every commit since the last checkpoint, and a
+// checkpoint — an atomic temp-file + rename save of the whole document
+// to <id>.gdag, which the entry then sources from — runs only when the
+// log has grown, at Close, and after a crash recovery. With the log
+// disabled every commit is saved in full instead. The dirty flag marks
+// an edit held in memory alone: one whose log append and fallback save
+// both failed.
 //
 // Get remains for read-only deployments and statistics: it returns the
 // document without read-locking it, so callers that run concurrently
@@ -98,22 +102,23 @@ type Options struct {
 	FS faultfs.FS
 
 	// DisableWAL turns off per-document write-ahead logging. With the
-	// WAL on (the default), every committed edit is durable once its
-	// log record is fsynced — before the document's indexes are even
-	// repaired — and a crash replays the log tail on the next open.
-	// Disabled, durability reverts to save-on-commit alone: an edit
-	// whose save fails survives only in memory.
+	// WAL on (the default), every edit is committed — durable — once its
+	// log record is fsynced, before the document's indexes are even
+	// repaired; the full save to <id>.gdag is a checkpoint that runs
+	// only every so many commits, and a crash replays the records past
+	// it on the next open. Disabled, every commit is saved in full, and
+	// an edit whose save fails survives only in memory.
 	DisableWAL bool
 
-	// SaveRetries is the number of attempts each commit's save gets
-	// before it is declared failed (default 3). Retries back off
-	// exponentially from RetryBase (default 5ms) capped at RetryCap
-	// (default 250ms).
+	// SaveRetries is the number of attempts each save gets — a
+	// checkpoint, or with the WAL disabled each commit's save — before
+	// it is declared failed (default 3). Retries back off exponentially
+	// from RetryBase (default 5ms) capped at RetryCap (default 250ms).
 	SaveRetries int
 	RetryBase   time.Duration
 	RetryCap    time.Duration
 
-	// FailThreshold is the number of consecutive failed persists after
+	// FailThreshold is the number of consecutive failed saves after
 	// which a document degrades to read-only; the whole catalog degrades
 	// at twice that. Default 3. Degradation is sticky until restart.
 	FailThreshold int
@@ -154,6 +159,7 @@ type Catalog struct {
 	retryCap      time.Duration
 	failThreshold int
 	negTTL        time.Duration
+	ckptRecords   int // logged commits that force a checkpoint (checkpointRecords; tests lower it)
 
 	// now and sleep are the clock seams: tests pin them to step time
 	// through negative-cache TTLs and retry backoffs instantly.
@@ -172,10 +178,10 @@ type Catalog struct {
 	v2Fallbacks uint64 // .gdag opens that fell back to the v2 decode path
 
 	// Durability counters and catalog-wide degradation (guarded by mu).
-	recovered    uint64 // documents that replayed at least one WAL record
-	replayed     uint64 // WAL records applied across all recoveries
-	saveFailures uint64 // commits whose save failed after retries
-	failStreak   int    // consecutive failed persists, catalog-wide
+	recovered    uint64 // documents whose log a crash left non-empty
+	replayed     uint64 // WAL records applied across all loads
+	saveFailures uint64 // saves (checkpoints) that failed after retries
+	failStreak   int    // consecutive failed saves, catalog-wide
 	readOnly     bool   // degraded: persistent storage failures
 
 	// onLoad, when set (tests), runs inside each document load, after the
@@ -190,7 +196,7 @@ type Catalog struct {
 
 // entry is one catalogued document. The resident fields are guarded by
 // Catalog.mu; id is immutable after Open; paths/format repoint (under
-// Catalog.mu) to the saved .gdag file after the first committed edit.
+// Catalog.mu) to the saved .gdag file at the first checkpoint.
 type entry struct {
 	id     string
 	paths  []string // source files (several for a distributed directory)
@@ -221,20 +227,19 @@ type entry struct {
 	// instead of pinning a goroutine until the lock frees.
 	rw      ctxRWMutex
 	editing int    // Updates in flight or queued (guards eviction)
-	dirty   bool   // edited state not yet persisted (save failed)
+	dirty   bool   // an edit neither logged nor saved: held in memory alone
 	edits   uint64 // committed edit transactions
 
 	// Write-ahead log state. wal is opened on first load (replaying any
-	// surviving records) and kept for the entry's lifetime; it is only
-	// touched under the singleflight load or the entry's write lock.
+	// surviving records) and kept until Close; it is only touched under
+	// the singleflight load or the entry's write lock. The sequence
+	// numbers and base size change only there too, and under Catalog.mu,
+	// so Stats may read them.
 	wal      *store.WAL
-	replayed uint64 // WAL records applied into this document at load
-
-	// fp caches the document's persisted-state fingerprint (the WAL
-	// record pre-state stamp) so back-to-back edit batches do not pay an
-	// encode pass each to recompute it. Guarded by rw (write side).
-	fp      uint32
-	fpValid bool
+	replayed uint64 // WAL records applied into this document at loads
+	lsn      uint64 // commit sequence number of the in-memory state
+	baseLSN  uint64 // LSN of the source file: the last checkpoint
+	baseSize int64  // source file bytes, the log's checkpoint yardstick
 
 	// Degradation state (guarded by Catalog.mu): consecutive failed
 	// persists; at the catalog's FailThreshold the document becomes
@@ -259,10 +264,11 @@ func (e *ErrNotFound) Error() string { return fmt.Sprintf("catalog: no document 
 
 // Open scans dir and returns a catalog of the documents found. No
 // document is loaded yet, with one exception: documents that left a
-// non-empty write-ahead log behind (a crash between an edit commit and
-// its save) are loaded eagerly so their logged edits are replayed and
-// re-persisted before the catalog starts serving. A recovery failure
-// does not fail Open — it is cached on the entry like any load error.
+// non-empty write-ahead log behind (a crash after commits past the
+// last checkpoint) are loaded eagerly so their logged edits are
+// replayed and checkpointed before the catalog starts serving. A
+// recovery failure does not fail Open — it is cached on the entry like
+// any load error.
 func Open(dir string, opts Options) (*Catalog, error) {
 	des, err := os.ReadDir(dir)
 	if err != nil {
@@ -294,6 +300,7 @@ func Open(dir string, opts Options) (*Catalog, error) {
 	if c.negTTL == 0 {
 		c.negTTL = defaultNegCacheTTL
 	}
+	c.ckptRecords = checkpointRecords
 	c.now = time.Now
 	c.sleep = time.Sleep
 	c.registerMetrics(opts.Obs)
@@ -347,8 +354,8 @@ func Open(dir string, opts Options) (*Catalog, error) {
 func (c *Catalog) add(id string, paths []string, format string) {
 	if prev, dup := c.entries[id]; dup {
 		// Several source forms under one id (name.gdag next to name.xml
-		// or name/): the binary .gdag wins — it is what save-on-commit
-		// writes, so edits must not be shadowed by a stale XML source —
+		// or name/): the binary .gdag wins — it is what checkpoints
+		// write, so edits must not be shadowed by a stale XML source —
 		// then the directory form, then single files in ReadDir order.
 		if format == "gdag" && prev.format != "gdag" {
 			prev.paths, prev.format = paths, format
@@ -468,24 +475,29 @@ func (c *Catalog) runLoad(e *entry, f *flight) {
 	close(f.done)
 }
 
-// load parses one document from its source files, replays any surviving
-// write-ahead-log records into it, and pre-warms its query indexes. Runs
-// without the catalog lock: loads of *different* documents proceed in
-// parallel. The mapped bool reports a view-backed (mmap v3) document —
-// those skip the pre-warm and charge only their resident bytes.
+// load parses one document from its source files, replays the
+// write-ahead-log records past its checkpoint into it, and pre-warms its
+// query indexes. Runs without the catalog lock: loads of *different*
+// documents proceed in parallel. The mapped bool reports a view-backed
+// (mmap v3) document — those skip the pre-warm and charge only their
+// resident bytes.
 func (c *Catalog) load(e *entry) (*core.Document, int64, bool, error) {
 	if c.onLoad != nil {
 		c.onLoad(e.id)
 	}
-	doc, err := c.loadSource(e)
+	doc, base, err := c.loadSource(e)
 	if err != nil {
 		return nil, 0, false, fmt.Errorf("catalog: load %q: %w", e.id, err)
 	}
 	if c.walOn {
-		doc, err = c.recover(e, doc)
+		doc, err = c.recover(e, doc, base)
 		if err != nil {
 			return nil, 0, false, err
 		}
+	} else {
+		c.mu.Lock()
+		e.lsn, e.baseLSN, e.baseSize = base.lsn, base.lsn, base.size
+		c.mu.Unlock()
 	}
 	g := doc.GODDAG()
 	if rb, ok := g.ResidentFootprint(); ok {
@@ -499,11 +511,13 @@ func (c *Catalog) load(e *entry) (*core.Document, int64, bool, error) {
 	return doc, g.Footprint(), false, nil
 }
 
-// loadSource parses the document from its files. A single .gdag source
-// opens through the mapping path — for a v3 file that is a stat + mmap
-// + header validation, no decode — while v2 files fall back to the
-// streaming decoder (counted; they migrate to v3 on their next save).
-func (c *Catalog) loadSource(e *entry) (*core.Document, error) {
+// loadSource parses the document from its files and describes them as
+// the base the log replays onto. A single .gdag source opens through
+// the mapping path — for a v3 file that is a stat + mmap + header
+// validation, no decode, and the header carries the checkpoint's LSN —
+// while v2 files fall back to the streaming decoder (counted; they
+// migrate to v3 at their next checkpoint). Any other source is at LSN 0.
+func (c *Catalog) loadSource(e *entry) (*core.Document, baseFile, error) {
 	if e.format == "gdag" && len(e.paths) == 1 {
 		start := time.Now()
 		m, err := store.OpenMappedFile(c.fsys, e.paths[0])
@@ -516,17 +530,27 @@ func (c *Catalog) loadSource(e *entry) (*core.Document, error) {
 				for _, n := range m.SectionSizes() {
 					c.met.sectionBytes.ObserveValue(int64(n))
 				}
-				return core.FromGODDAG(g), nil
+				return core.FromGODDAG(g), baseFile{lsn: m.LSN(), size: int64(m.Size())}, nil
 			}
 		}
 		if !errors.Is(err, store.ErrV2) {
-			return nil, err
+			return nil, baseFile{}, err
 		}
 		c.mu.Lock()
 		c.v2Fallbacks++
 		c.mu.Unlock()
 	}
-	return cliutil.Load(e.format, e.paths)
+	doc, err := cliutil.Load(e.format, e.paths)
+	if err != nil {
+		return nil, baseFile{}, err
+	}
+	var base baseFile
+	for _, p := range e.paths {
+		if fi, err := c.fsys.Stat(p); err == nil {
+			base.size += fi.Size()
+		}
+	}
+	return doc, base, nil
 }
 
 // refreshBytesLocked re-reads a mapped entry's footprint — it grows as
@@ -554,7 +578,7 @@ func (c *Catalog) refreshBytesLocked(e *entry) {
 // evictLocked drops least-recently-used documents until the resident
 // bytes fit the budget. The front (most recent) entry always stays, so an
 // over-budget document can still serve; dirty or mid-edit documents are
-// skipped — dropping them would lose unsaved edits.
+// skipped — dropping them would lose unpersisted edits.
 func (c *Catalog) evictLocked() {
 	if c.budget <= 0 {
 		return
@@ -585,7 +609,8 @@ func (c *Catalog) dropLocked(e *entry) {
 // Evict drops the document from the resident set if loaded (or clears a
 // cached load failure), reporting whether anything was cleared. Queries
 // already running against an evicted document are unaffected. Documents
-// with unsaved edits or an edit in flight are not evicted.
+// with unpersisted edits (dirty) or an edit in flight are not evicted;
+// logged edits past the checkpoint replay when the document reloads.
 func (c *Catalog) Evict(id string) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -656,23 +681,20 @@ func (c *Catalog) IndexStats(id string) (goddag.IndexStats, error) {
 	return st, err
 }
 
-// Update runs fn with the document under its write lock, then persists
-// the result: writers serialize per document, no View overlaps, and a
-// successful fn is saved to <id>.gdag in the catalog directory through
-// an atomic temp-file + rename before Update returns. The entry then
-// sources from that file, so eviction + reload reproduces the edited
-// document. fn must leave the document consistent on error (the editor's
-// transactions roll back automatically); nothing is persisted then.
+// Update runs fn with the document under its write lock, then commits
+// the result: writers serialize per document, no View overlaps, and with
+// the write-ahead log on, the post-state of a successful fn is logged
+// as a full snapshot record, fsynced before Update returns — that
+// record is the commit. Without the log, or when the append fails, the
+// document is saved in full to <id>.gdag instead. fn must leave the
+// document consistent on error (the editor's transactions roll back
+// automatically); nothing is logged then.
 //
-// A failed save leaves the in-memory edit in place and the entry marked
-// dirty: the document keeps serving and cannot be evicted, and the next
-// successful Update clears the flag. With the write-ahead log on, the
-// committed post-state is also snapshot-logged before the save, so even
-// a "not persisted" edit survives a crash; Update still reports the
-// save failure so callers see the degraded disk. Edits whose ops are
-// known up front should use UpdateBatch, which logs the (much smaller)
-// op batch instead and treats the fsynced log record as the commit
-// point.
+// An edit that could be neither logged nor saved stays in memory, and
+// the entry is marked dirty: the document keeps serving and cannot be
+// evicted, and the next successful save clears the flag. Edits whose
+// ops are known up front should use UpdateBatch, which logs the (much
+// smaller) op batch before applying it.
 func (c *Catalog) Update(id string, fn func(*core.Document) error) error {
 	return c.UpdateContext(context.Background(), id, fn)
 }
@@ -680,8 +702,8 @@ func (c *Catalog) Update(id string, fn func(*core.Document) error) error {
 // UpdateContext is Update bounded by ctx — but only up to the point of
 // no return: the write-lock acquisition and a cold load give up with
 // ctx.Err() (nothing has changed), while a commit already past fn is
-// always persisted in full, so cancellation can never tear an edit or
-// abandon a committed-but-unsaved state.
+// always carried through, so cancellation can never tear an edit. A
+// trace riding ctx gets the lockWait, apply, log and checkpoint stages.
 func (c *Catalog) UpdateContext(ctx context.Context, id string, fn func(*core.Document) error) error {
 	e, err := c.beginEdit(id)
 	if err != nil {
@@ -700,28 +722,29 @@ func (c *Catalog) UpdateContext(ctx context.Context, id string, fn func(*core.Do
 		return err
 	}
 
-	if err := fn(doc); err != nil {
+	sp := tr.Begin("apply")
+	err = fn(doc)
+	sp.End()
+	if err != nil {
 		return err
 	}
 
-	// Log the committed post-state before saving: an arbitrary closure
-	// (undo, redo, programmatic edits) is not expressible as an op
-	// batch, so the record is a full snapshot — naturally idempotent at
-	// replay. A crash in the window between the editor commit and this
-	// append loses the closure's effect; batches logged through
-	// UpdateBatch close that window.
-	walDurable := false
-	if w := c.walFor(e); w != nil {
+	// Log the committed post-state: an arbitrary closure (undo, redo,
+	// programmatic edits) is not expressible as an op batch, so the
+	// record is a full snapshot, which replay installs wholesale. A
+	// crash in the window between the editor commit and this append
+	// loses the closure's effect; batches logged through UpdateBatch
+	// close that window.
+	logged := false
+	if e.logging() {
+		sp := tr.Begin("log")
 		var buf bytes.Buffer
 		if doc.Save(&buf) == nil {
-			appendStart := time.Now()
-			if w.Append(store.RecordSnapshot, 0, buf.Bytes()) == nil {
-				walDurable = true
-			}
-			c.met.walAppend.Observe(time.Since(appendStart))
+			logged = c.appendLog(e, store.RecordSnapshot, buf.Bytes())
 		}
+		sp.End()
 	}
-	return c.persistCommit(e, doc, walDurable, true, nil)
+	return c.finishCommit(e, doc, logged, tr, nil)
 }
 
 // DocStats describes one catalogued document.
@@ -734,7 +757,8 @@ type DocStats struct {
 	Loads    uint64   `json:"loads"`
 	Hits     uint64   `json:"hits"`
 	Edits    uint64   `json:"edits,omitempty"`     // committed edit transactions
-	Dirty    bool     `json:"dirty,omitempty"`     // edited state not yet persisted
+	Pending  uint64   `json:"pending,omitempty"`   // logged commits past the last checkpoint
+	Dirty    bool     `json:"dirty,omitempty"`     // an edit held in memory alone
 	ReadOnly bool     `json:"read_only,omitempty"` // degraded: persistent save failures
 	Replayed uint64   `json:"replayed,omitempty"`  // WAL records recovered into this doc
 	Error    string   `json:"error,omitempty"`     // cached load failure (expires, or Evict)
@@ -753,9 +777,9 @@ type Stats struct {
 	// Durability state: crash recoveries and degradation (see the
 	// package comment on the write-ahead log).
 	ReadOnly     bool   `json:"read_only,omitempty"`     // catalog-wide degradation
-	Recovered    uint64 `json:"recovered,omitempty"`     // docs that replayed WAL records
-	Replayed     uint64 `json:"replayed,omitempty"`      // WAL records applied in recoveries
-	SaveFailures uint64 `json:"save_failures,omitempty"` // commits not persisted after retries
+	Recovered    uint64 `json:"recovered,omitempty"`     // docs whose log a crash left non-empty
+	Replayed     uint64 `json:"replayed,omitempty"`      // WAL records applied at loads
+	SaveFailures uint64 `json:"save_failures,omitempty"` // saves (checkpoints) failed after retries
 
 	Docs []DocStats `json:"docs"`
 }
@@ -797,7 +821,7 @@ func (c *Catalog) docStatsLocked(e *entry) DocStats {
 	ds := DocStats{
 		ID: e.id, Paths: e.paths,
 		Resident: e.doc != nil, Mapped: e.mapped, Loads: e.loads, Hits: e.hits,
-		Edits: e.edits, Dirty: e.dirty,
+		Edits: e.edits, Pending: e.lsn - e.baseLSN, Dirty: e.dirty,
 		ReadOnly: e.readOnly, Replayed: e.replayed,
 	}
 	if e.doc != nil {

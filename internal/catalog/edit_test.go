@@ -31,9 +31,12 @@ func countEdits(doc *core.Document) int {
 	return len(doc.GODDAG().ElementsNamed("edit"))
 }
 
+// TestUpdatePersistsAndSurvivesReload pins save-on-commit, the
+// durability left when the write-ahead log is disabled (with the log
+// on, commits are checkpointed later; see TestCloseCheckpoints).
 func TestUpdatePersistsAndSurvivesReload(t *testing.T) {
 	dir := writeCorpusDir(t, 60)
-	c, err := Open(dir, Options{})
+	c, err := Open(dir, Options{DisableWAL: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,9 +140,13 @@ func TestUpdateFailureRollsBackAndSkipsSave(t *testing.T) {
 	}
 }
 
+// TestFailedSaveMarksDirtyAndBlocksEviction runs without the
+// write-ahead log, where a failed save leaves the edit in memory alone
+// (with the log on, the commit is already durable; see
+// TestPersistentFaultDegradesToReadOnly).
 func TestFailedSaveMarksDirtyAndBlocksEviction(t *testing.T) {
 	dir := writeCorpusDir(t, 60)
-	c, err := Open(dir, Options{})
+	c, err := Open(dir, Options{DisableWAL: true})
 	if err != nil {
 		t.Fatal(err)
 	}

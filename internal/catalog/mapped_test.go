@@ -118,13 +118,14 @@ func mustOpen(t *testing.T, path string) *os.File {
 
 // TestMappedEditPromotesAndStaysV3 edits a mapped document: the edit
 // promotes it to the heap (Mapped clears, the charge becomes a heap
-// estimate) and the save keeps the file v3.
+// estimate) and its checkpoint keeps the file v3.
 func TestMappedEditPromotesAndStaysV3(t *testing.T) {
 	dir := writeGdagDir(t, 1, 200, encodeV3File)
 	c, err := Open(dir, Options{FS: poisonedFS(t)})
 	if err != nil {
 		t.Fatal(err)
 	}
+	c.ckptRecords = 1 // checkpoint every commit
 	err = c.Update("doc0", func(doc *core.Document) error {
 		g := doc.GODDAG()
 		_, err := g.InsertElement(g.Hierarchies()[0], "patch", nil, spanAll(g))
@@ -160,13 +161,14 @@ func TestMappedEditPromotesAndStaysV3(t *testing.T) {
 }
 
 // TestV2FileFallsBackAndMigratesOnSave loads a v2 .gdag (heap decode
-// fallback) and checks the first committed edit rewrites it as v3.
+// fallback) and checks the first checkpoint rewrites it as v3.
 func TestV2FileFallsBackAndMigratesOnSave(t *testing.T) {
 	dir := writeGdagDir(t, 1, 200, encodeV2File)
 	c, err := Open(dir, Options{FS: poisonedFS(t)})
 	if err != nil {
 		t.Fatal(err)
 	}
+	c.ckptRecords = 1 // checkpoint every commit
 	if _, err := c.Get("doc0"); err != nil {
 		t.Fatal(err)
 	}

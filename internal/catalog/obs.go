@@ -16,7 +16,7 @@ type catMetrics struct {
 	lockRead     *obs.Histogram // read-lock wait (ViewContext)
 	lockWrite    *obs.Histogram // write-lock wait (UpdateContext/UpdateBatchContext)
 	walAppend    *obs.Histogram // WAL append incl. fsync (the commit point)
-	save         *obs.Histogram // store save, per attempt
+	save         *obs.Histogram // checkpoint (or WAL-off commit) save, per attempt
 	openMapped   *obs.Histogram // mapped .gdag opens: stat + mmap + header validation
 	sectionBytes *obs.Histogram // v3 section sizes (bytes), per mapped open
 }
@@ -39,7 +39,7 @@ func (c *Catalog) registerMetrics(reg *obs.Registry) {
 		walAppend: reg.Histogram("cx_wal_append_seconds",
 			"Write-ahead-log append latency, including the fsync that commits it.", "", nil),
 		save: reg.Histogram("cx_catalog_save_seconds",
-			"Document save latency, per attempt (retries observe again).", "", nil),
+			"Document save (checkpoint) latency, per attempt (retries observe again).", "", nil),
 		openMapped: reg.Histogram("cx_store_open_seconds",
 			"Mapped .gdag open latency: stat, mmap, header validation — no decode.", "", nil),
 		sectionBytes: reg.ValueHistogram("cx_store_section_bytes",
@@ -55,9 +55,9 @@ func (c *Catalog) registerMetrics(reg *obs.Registry) {
 	reg.CounterFunc("cx_catalog_loads_total", "Documents loaded from source.", "", counter(&c.loads))
 	reg.CounterFunc("cx_catalog_hits_total", "Gets served from the resident set.", "", counter(&c.hits))
 	reg.CounterFunc("cx_catalog_evictions_total", "Documents evicted under memory pressure.", "", counter(&c.evictions))
-	reg.CounterFunc("cx_catalog_save_failures_total", "Commits not persisted after retries.", "", counter(&c.saveFailures))
-	reg.CounterFunc("cx_catalog_recovered_total", "Documents that replayed WAL records at load.", "", counter(&c.recovered))
-	reg.CounterFunc("cx_wal_replayed_records_total", "WAL records applied across all recoveries.", "", counter(&c.replayed))
+	reg.CounterFunc("cx_catalog_save_failures_total", "Saves (checkpoints, or commits with the WAL off) that failed after retries.", "", counter(&c.saveFailures))
+	reg.CounterFunc("cx_catalog_recovered_total", "Documents whose write-ahead log a crash left non-empty, recovered at load.", "", counter(&c.recovered))
+	reg.CounterFunc("cx_wal_replayed_records_total", "WAL records applied at loads: crash recoveries and reloads after eviction.", "", counter(&c.replayed))
 	reg.CounterFunc("cx_store_v2_fallback_total", "Catalog .gdag opens that fell back to the v2 streaming decoder.", "", counter(&c.v2Fallbacks))
 	reg.GaugeFunc("cx_store_mapped_bytes", "Bytes of .gdag files currently memory-mapped, process-wide.", "", func() float64 {
 		return float64(store.MappedBytes())

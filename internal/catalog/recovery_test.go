@@ -63,10 +63,15 @@ func isWAL(path string) bool  { return strings.HasSuffix(path, ".wal") }
 func isTemp(path string) bool { return strings.Contains(filepath.Base(path), ".gdag-tmp-") }
 
 // TestCrashMatrix kills the write path at every durability-relevant
-// fault point of a logged edit and asserts that reopening the directory
-// recovers exactly the committed state: batch1 (committed cleanly) is
-// always present, batch2 is present or absent per the fault point's
-// documented semantics, and never partially applied.
+// fault point and asserts that reopening the directory recovers exactly
+// the committed state: batch1 (committed cleanly) is always present,
+// batch2 is present or absent per the fault point's documented
+// semantics, and never partially applied (and, where its record
+// outlived the checkpoint that holds it, never applied twice). The
+// wal-append-* points hit
+// batch2's commit itself (a failed append falls back to a checkpoint,
+// which the dead disk fails too); the save-* and wal-reset-truncate
+// points hit the checkpoint Close drives after batch2 committed.
 func TestCrashMatrix(t *testing.T) {
 	errFault := errors.New("injected: EIO")
 	cases := []struct {
@@ -74,6 +79,8 @@ func TestCrashMatrix(t *testing.T) {
 		trigger func(faultfs.Op, string) bool
 		fault   error // error injected at the trigger point
 		wantErr bool  // UpdateBatch reports a failure
+		ckpt    bool  // the fault fires in the checkpoint Close drives
+		ckptErr bool  // Close reports the failed checkpoint
 		want2   bool  // batch2 present after recovery
 	}{
 		{
@@ -103,41 +110,42 @@ func TestCrashMatrix(t *testing.T) {
 		},
 		{
 			// The log record fsynced — the commit point — so the edit
-			// must survive no matter what the save does.
+			// must survive no matter what the checkpoint does.
 			name:    "save-temp-write",
 			trigger: func(op faultfs.Op, p string) bool { return op == faultfs.OpWrite && isTemp(p) },
-			fault:   errFault, wantErr: false, want2: true,
+			fault:   errFault, ckpt: true, ckptErr: true, want2: true,
 		},
 		{
 			name:    "save-temp-sync",
 			trigger: func(op faultfs.Op, p string) bool { return op == faultfs.OpSync && isTemp(p) },
-			fault:   errFault, wantErr: false, want2: true,
+			fault:   errFault, ckpt: true, ckptErr: true, want2: true,
 		},
 		{
 			name: "save-rename",
 			trigger: func(op faultfs.Op, p string) bool {
 				return op == faultfs.OpRename && strings.HasSuffix(p, ".gdag")
 			},
-			fault: errFault, wantErr: false, want2: true,
+			fault: errFault, ckpt: true, ckptErr: true, want2: true,
 		},
 		{
-			// The save's rename landed but its directory sync failed:
-			// the .gdag already holds batch2 AND its log record remains.
-			// The pre-state fingerprint must keep replay from applying
-			// it a second time.
+			// The checkpoint's rename landed but its directory sync
+			// failed: the .gdag already holds batch2 AND its log record
+			// remains. The checkpoint's LSN must keep replay
+			// from applying them a second time.
 			name: "save-dir-sync",
 			trigger: func(op faultfs.Op, p string) bool {
 				return op == faultfs.OpSync && !isWAL(p) && !isTemp(p)
 			},
-			fault: errFault, wantErr: false, want2: true,
+			fault: errFault, ckpt: true, ckptErr: true, want2: true,
 		},
 		{
-			// Save fully succeeded, crash during the log reset: stale
-			// record in the WAL, batch2 already in the .gdag — the
-			// double-apply window the fingerprints exist for.
+			// Checkpoint fully succeeded, crash during the log reset:
+			// stale record in the WAL, batch2 already in the .gdag — the
+			// double-apply window the LSN closes. (Close still errs: the
+			// dead disk fails the log's close.)
 			name:    "wal-reset-truncate",
 			trigger: func(op faultfs.Op, p string) bool { return op == faultfs.OpTruncate && isWAL(p) },
-			fault:   errFault, wantErr: false, want2: true,
+			fault:   errFault, ckpt: true, ckptErr: true, want2: true,
 		},
 	}
 
@@ -159,10 +167,25 @@ func TestCrashMatrix(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			inj.SetHook(crashAt(tc.trigger, tc.fault))
-			err = c.UpdateBatch("plain", batch2, nil)
-			if (err != nil) != tc.wantErr {
-				t.Fatalf("UpdateBatch under %s: err=%v, wantErr=%v", tc.name, err, tc.wantErr)
+			if tc.ckpt {
+				if err := c.UpdateBatch("plain", batch2, nil); err != nil {
+					t.Fatal(err)
+				}
+				// batch1's record outgrew the tiny XML source, so it was
+				// checkpointed; batch2 waits in the log for Close.
+				if ds, _ := c.Doc("plain"); ds.Pending != 1 {
+					t.Fatalf("%d commits past the checkpoint before Close, want 1", ds.Pending)
+				}
+				inj.SetHook(crashAt(tc.trigger, tc.fault))
+				if err := c.Close(); (err != nil) != tc.ckptErr {
+					t.Fatalf("Close under %s: err=%v, wantErr=%v", tc.name, err, tc.ckptErr)
+				}
+			} else {
+				inj.SetHook(crashAt(tc.trigger, tc.fault))
+				err = c.UpdateBatch("plain", batch2, nil)
+				if (err != nil) != tc.wantErr {
+					t.Fatalf("UpdateBatch under %s: err=%v, wantErr=%v", tc.name, err, tc.wantErr)
+				}
 			}
 
 			// Crash: the in-memory catalog dies with the process. Reopen
@@ -262,9 +285,10 @@ func TestVetoedBatchNotReplayed(t *testing.T) {
 }
 
 // TestPersistentFaultDegradesToReadOnly drives commits against a disk
-// whose saves always fail: every commit stays durable through the WAL,
-// but after FailThreshold consecutive failures the document — and after
-// twice that, the catalog — degrades to read-only instead of wedging.
+// whose saves always fail, checkpointing every commit: every commit
+// stays durable through the WAL, but after FailThreshold consecutive
+// failed checkpoints the document — and after twice that, the catalog —
+// degrades to read-only instead of wedging.
 func TestPersistentFaultDegradesToReadOnly(t *testing.T) {
 	dir := writePlainDir(t, "a", "b")
 	inj := faultfs.NewInjector(faultfs.OS)
@@ -272,6 +296,7 @@ func TestPersistentFaultDegradesToReadOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	c.ckptRecords = 1
 	errDisk := errors.New("injected: ENOSPC")
 	inj.SetHook(func(op faultfs.Op, p string) error {
 		if op == faultfs.OpRename && strings.HasSuffix(p, ".gdag") {
@@ -283,8 +308,8 @@ func TestPersistentFaultDegradesToReadOnly(t *testing.T) {
 	batch := func(i int) []editor.Op {
 		return []editor.Op{{Op: "insert-markup", Hierarchy: "edits", Tag: "edit", Start: 4 * i, End: 4*i + 3}}
 	}
-	// Three commits on "a": each is WAL-durable (nil error) while the
-	// save fails behind the scenes; the third trips the document.
+	// Three commits on "a": each is WAL-durable (nil error) while its
+	// checkpoint fails behind the scenes; the third trips the document.
 	for i := 0; i < 3; i++ {
 		if err := c.UpdateBatch("a", batch(i), nil); err != nil {
 			t.Fatalf("commit %d: %v (WAL-durable commits must succeed)", i, err)
@@ -293,8 +318,9 @@ func TestPersistentFaultDegradesToReadOnly(t *testing.T) {
 	if err := c.UpdateBatch("a", batch(3), nil); !errors.Is(err, ErrReadOnly) {
 		t.Fatalf("4th update on degraded doc = %v, want ErrReadOnly", err)
 	}
+	// Degraded, but not dirty: all three edits are in the log.
 	ds, _ := c.Doc("a")
-	if !ds.ReadOnly || !ds.Dirty {
+	if !ds.ReadOnly || ds.Dirty || ds.Pending != 3 {
 		t.Fatalf("degraded doc stats: %+v", ds)
 	}
 	if c.ReadOnly() {
@@ -327,8 +353,8 @@ func TestPersistentFaultDegradesToReadOnly(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The edits were never saved — but every one is in the WAL, so a
-	// restart on a healed disk recovers all of them.
+	// The edits were never checkpointed — but every one is in the WAL,
+	// so a restart on a healed disk recovers all of them.
 	inj.SetHook(nil)
 	c2, err := Open(dir, Options{})
 	if err != nil {

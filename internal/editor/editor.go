@@ -105,10 +105,19 @@ type Session struct {
 	schema *validate.Schema
 	opts   Options
 
-	undo      []*goddag.Document // snapshots before each applied op/transaction
-	redo      []*goddag.Document
+	undo      []snapshot // states before each applied op/transaction
+	redo      []snapshot
+	histBytes int64 // sum of the bytes of every undo and redo snapshot
 	listeners []func(Change)
 	tx        *Tx // open transaction, nil otherwise
+}
+
+// snapshot is one history entry: a document state and its footprint,
+// measured once as it enters the history. A state on a history stack is
+// never mutated, so its footprint cannot drift while it waits there.
+type snapshot struct {
+	doc   *goddag.Document
+	bytes int64
 }
 
 // NewSession starts a session. schema may be nil (no validation).
@@ -130,16 +139,9 @@ func (s *Session) Document() *goddag.Document { return s.doc }
 // snapshot stacks (goddag.Footprint per snapshot). Serving layers add
 // it to the live document's footprint when budgeting resident memory —
 // an actively edited document holds up to HistoryLimit full snapshots.
-func (s *Session) HistoryFootprint() int64 {
-	var f int64
-	for _, d := range s.undo {
-		f += d.Footprint()
-	}
-	for _, d := range s.redo {
-		f += d.Footprint()
-	}
-	return f
-}
+// It is O(1): each snapshot is measured once, when it enters the
+// history, and the sum is kept as entries come and go.
+func (s *Session) HistoryFootprint() int64 { return s.histBytes }
 
 // SetPrevalidate toggles the prevalidation veto for subsequent markup
 // insertions, in place: history, listeners, and any open transaction
@@ -161,13 +163,51 @@ func (s *Session) notify(c Change) {
 	}
 }
 
-// checkpoint pushes an undo snapshot and clears the redo stack.
-func (s *Session) checkpoint() {
-	s.undo = append(s.undo, s.doc.Clone())
+// push adds d to a history stack, measuring it once.
+func (s *Session) push(stack []snapshot, d *goddag.Document) []snapshot {
+	fp := d.Footprint()
+	s.histBytes += fp
+	return append(stack, snapshot{doc: d, bytes: fp})
+}
+
+// pop removes and returns the top of a history stack.
+func (s *Session) pop(stack *[]snapshot) *goddag.Document {
+	n := len(*stack) - 1
+	top := (*stack)[n]
+	*stack = (*stack)[:n]
+	s.histBytes -= top.bytes
+	return top.doc
+}
+
+// record enters the pre-edit state of a committed edit into the
+// history: it pushes an undo entry, drops the oldest past the history
+// limit, and clears the redo stack.
+func (s *Session) record(before *goddag.Document) {
+	s.undo = s.push(s.undo, before)
 	if len(s.undo) > s.opts.HistoryLimit {
+		s.histBytes -= s.undo[0].bytes
+		s.undo[0] = snapshot{} // release the dropped state
 		s.undo = s.undo[1:]
 	}
+	for _, r := range s.redo {
+		s.histBytes -= r.bytes
+	}
 	s.redo = nil
+}
+
+// edit runs one direct session edit: it snapshots the document, applies
+// the edit, and records the snapshot only if the edit succeeded, so a
+// failed edit leaves the history exactly as it was.
+func (s *Session) edit(apply func() error) error {
+	if err := s.mutable(); err != nil {
+		return err
+	}
+	before := s.doc.Clone()
+	if err := apply(); err != nil {
+		return err
+	}
+	s.record(before)
+	return nil
 }
 
 // CanUndo reports whether Undo would succeed.
@@ -193,9 +233,9 @@ func (s *Session) Undo() error {
 	if len(s.undo) == 0 {
 		return ErrNothingToUndo
 	}
-	s.redo = append(s.redo, s.doc)
-	s.doc = s.undo[len(s.undo)-1]
-	s.undo = s.undo[:len(s.undo)-1]
+	prev := s.pop(&s.undo)
+	s.redo = s.push(s.redo, s.doc)
+	s.doc = prev
 	s.notify(Change{Kind: ChangeUndo})
 	return nil
 }
@@ -208,9 +248,9 @@ func (s *Session) Redo() error {
 	if len(s.redo) == 0 {
 		return ErrNothingToRedo
 	}
-	s.undo = append(s.undo, s.doc)
-	s.doc = s.redo[len(s.redo)-1]
-	s.redo = s.redo[:len(s.redo)-1]
+	next := s.pop(&s.redo)
+	s.undo = s.push(s.undo, s.doc)
+	s.doc = next
 	s.notify(Change{Kind: ChangeRedo})
 	return nil
 }
@@ -249,13 +289,11 @@ func (s *Session) applyInsertMarkup(hierarchy, tag string, span document.Span, a
 // use. It returns the inserted element. Failed insertions leave the
 // session exactly as it was.
 func (s *Session) InsertMarkup(hierarchy, tag string, span document.Span, attrs ...goddag.Attr) (*goddag.Element, error) {
-	if err := s.mutable(); err != nil {
-		return nil, err
-	}
-	s.checkpoint()
-	el, err := s.applyInsertMarkup(hierarchy, tag, span, attrs)
-	if err != nil {
-		s.undo = s.undo[:len(s.undo)-1]
+	var el *goddag.Element
+	if err := s.edit(func() (err error) {
+		el, err = s.applyInsertMarkup(hierarchy, tag, span, attrs)
+		return err
+	}); err != nil {
 		return nil, err
 	}
 	s.notify(Change{Kind: ChangeInsertMarkup, Hierarchy: hierarchy, Tag: tag, Span: span})
@@ -277,13 +315,11 @@ func (s *Session) applyRemoveMarkup(el *goddag.Element) (Change, error) {
 // RemoveMarkup deletes an element; its children are adopted by its
 // parent.
 func (s *Session) RemoveMarkup(el *goddag.Element) error {
-	if err := s.mutable(); err != nil {
+	var c Change
+	if err := s.edit(func() (err error) {
+		c, err = s.applyRemoveMarkup(el)
 		return err
-	}
-	s.checkpoint()
-	c, err := s.applyRemoveMarkup(el)
-	if err != nil {
-		s.undo = s.undo[:len(s.undo)-1]
+	}); err != nil {
 		return err
 	}
 	s.notify(c)
@@ -324,12 +360,7 @@ func (s *Session) applySetAttr(el *goddag.Element, name, value string) error {
 // SetAttr sets an attribute, validating enumerated/fixed values against
 // the DTD when the session has one for the element's hierarchy.
 func (s *Session) SetAttr(el *goddag.Element, name, value string) error {
-	if err := s.mutable(); err != nil {
-		return err
-	}
-	s.checkpoint()
-	if err := s.applySetAttr(el, name, value); err != nil {
-		s.undo = s.undo[:len(s.undo)-1]
+	if err := s.edit(func() error { return s.applySetAttr(el, name, value) }); err != nil {
 		return err
 	}
 	s.notify(Change{Kind: ChangeSetAttr, Hierarchy: el.Hierarchy().Name(), Tag: el.Name(), Detail: name + "=" + value})
@@ -349,12 +380,7 @@ func (s *Session) applyRemoveAttr(el *goddag.Element, name string) error {
 
 // RemoveAttr deletes an attribute.
 func (s *Session) RemoveAttr(el *goddag.Element, name string) error {
-	if err := s.mutable(); err != nil {
-		return err
-	}
-	s.checkpoint()
-	if err := s.applyRemoveAttr(el, name); err != nil {
-		s.undo = s.undo[:len(s.undo)-1]
+	if err := s.edit(func() error { return s.applyRemoveAttr(el, name) }); err != nil {
 		return err
 	}
 	s.notify(Change{Kind: ChangeRemoveAttr, Hierarchy: el.Hierarchy().Name(), Tag: el.Name(), Detail: name})
@@ -363,12 +389,7 @@ func (s *Session) RemoveAttr(el *goddag.Element, name string) error {
 
 // InsertText inserts text at a byte offset, adjusting all markup.
 func (s *Session) InsertText(pos int, text string) error {
-	if err := s.mutable(); err != nil {
-		return err
-	}
-	s.checkpoint()
-	if err := s.doc.InsertText(pos, text); err != nil {
-		s.undo = s.undo[:len(s.undo)-1]
+	if err := s.edit(func() error { return s.doc.InsertText(pos, text) }); err != nil {
 		return err
 	}
 	s.notify(Change{Kind: ChangeInsertText, Span: document.NewSpan(pos, pos+len(text))})
@@ -378,12 +399,7 @@ func (s *Session) InsertText(pos int, text string) error {
 // DeleteText removes a span of text, adjusting all markup; elements whose
 // content is entirely deleted remain as empty milestones.
 func (s *Session) DeleteText(span document.Span) error {
-	if err := s.mutable(); err != nil {
-		return err
-	}
-	s.checkpoint()
-	if err := s.doc.DeleteText(span); err != nil {
-		s.undo = s.undo[:len(s.undo)-1]
+	if err := s.edit(func() error { return s.doc.DeleteText(span) }); err != nil {
 		return err
 	}
 	s.notify(Change{Kind: ChangeDeleteText, Span: span})
@@ -550,11 +566,7 @@ func (tx *Tx) Commit() error {
 	if len(tx.ops) == 0 {
 		return nil
 	}
-	s.undo = append(s.undo, tx.snapshot)
-	if len(s.undo) > s.opts.HistoryLimit {
-		s.undo = s.undo[1:]
-	}
-	s.redo = nil
+	s.record(tx.snapshot)
 	s.notify(Change{Kind: ChangeTransaction, Detail: fmt.Sprintf("%d ops", len(tx.ops))})
 	return nil
 }

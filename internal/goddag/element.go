@@ -170,6 +170,14 @@ func (e *Element) Attrs() []Attr {
 	return out
 }
 
+// NumAttrs returns the number of the element's attributes.
+func (e *Element) NumAttrs() int { return len(e.attrs) }
+
+// AttrAt returns the i-th attribute in document order, 0 <= i <
+// NumAttrs(). Together with NumAttrs it iterates the attributes without
+// the copy Attrs makes.
+func (e *Element) AttrAt(i int) Attr { return e.attrs[i] }
+
 // Attr returns the value of the named attribute and whether it exists.
 func (e *Element) Attr(name string) (string, bool) {
 	for _, a := range e.attrs {

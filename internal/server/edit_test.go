@@ -11,9 +11,11 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/catalog"
 	"repro/internal/corpus"
+	"repro/internal/faultfs"
 	"repro/internal/store"
 )
 
@@ -85,10 +87,11 @@ func firstWordSpan(t testing.TB, h http.Handler) (start, end int) {
 }
 
 // TestEditRoundTrip is the acceptance path: edit -> query reflects the
-// change -> evict -> reload from the saved store file reproduces the
-// edited document byte-identically.
+// change -> evict -> reload (replaying the logged edit) -> the shutdown
+// checkpoint writes a store file that reproduces the edited document
+// byte-identically.
 func TestEditRoundTrip(t *testing.T) {
-	srv, _, dir := newEditFixture(t, 80, Config{})
+	srv, cat, dir := newEditFixture(t, 80, Config{})
 	h := srv.Handler()
 	lo, hi := firstWordSpan(t, h)
 
@@ -123,8 +126,9 @@ func TestEditRoundTrip(t *testing.T) {
 		t.Fatalf("removed attribute still queryable: %s", got)
 	}
 
-	// Evict and reload: the saved file must reproduce the edited
-	// document. DELETE must succeed — the commit already persisted.
+	// Evict and reload: the base file plus the log must reproduce the
+	// edited document. DELETE must succeed — the commit is durable in
+	// the log.
 	req := httptest.NewRequest(http.MethodDelete, "/docs/ms", nil)
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, req)
@@ -135,9 +139,12 @@ func TestEditRoundTrip(t *testing.T) {
 		t.Fatalf("reloaded note count = %s", got)
 	}
 
-	// Byte-identical persistence: re-encoding the reloaded document
-	// must reproduce the saved file exactly. Saves write v3, so the
-	// round-trip re-encodes with EncodeV3.
+	// Byte-identical persistence: after the shutdown checkpoint,
+	// re-saving the reloaded document at the file's LSN must reproduce
+	// the saved file exactly.
+	if err := cat.Close(); err != nil {
+		t.Fatal(err)
+	}
 	saved, err := os.ReadFile(filepath.Join(dir, "ms.gdag"))
 	if err != nil {
 		t.Fatal(err)
@@ -146,12 +153,19 @@ func TestEditRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := store.EncodeV3(&buf, reloaded); err != nil {
+	m, err := store.OpenMappedBytes(saved)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(buf.Bytes(), saved) {
-		t.Fatal("saved file does not round-trip byte-identically")
+	if m.LSN() != 1 {
+		t.Fatalf("checkpoint at LSN %d, want 1 (one committed batch)", m.LSN())
+	}
+	resaved := filepath.Join(t.TempDir(), "ms.gdag")
+	if _, err := store.SaveAtLSN(faultfs.OS, resaved, reloaded, m.LSN()); err != nil {
+		t.Fatal(err)
+	}
+	if again, err := os.ReadFile(resaved); err != nil || !bytes.Equal(again, saved) {
+		t.Fatalf("saved file does not round-trip byte-identically (%v)", err)
 	}
 	if got := len(reloaded.ElementsNamed("note")); got != 1 {
 		t.Fatalf("saved file holds %d note elements, want 1", got)
@@ -256,17 +270,17 @@ func TestUndoRedoEndpoints(t *testing.T) {
 	if got := queryCount(t, h, "ms", "count(//note)"); got != "0" {
 		t.Fatalf("after undo: %s", got)
 	}
-	// Undo persisted: the saved file no longer holds the note.
-	saved, err := os.ReadFile(filepath.Join(dir, "ms.gdag"))
+	// Undo is durable: a restart (replaying the log) has no note.
+	restarted, err := catalog.Open(dir, catalog.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	doc, err := store.Decode(bytes.NewReader(saved))
+	doc, err := restarted.Get("ms")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := len(doc.ElementsNamed("note")); got != 0 {
-		t.Fatalf("undo not persisted: %d notes in file", got)
+	if got := len(doc.GODDAG().ElementsNamed("note")); got != 0 {
+		t.Fatalf("undo not persisted: %d notes after a restart", got)
 	}
 	if w := postPath(t, h, "/docs/ms/redo", ""); w.Code != http.StatusOK {
 		t.Fatalf("redo: %d %s", w.Code, w.Body.String())
@@ -329,5 +343,42 @@ func TestConcurrentReadDuringEdit(t *testing.T) {
 	// All transient notes were removed again.
 	if got := queryCount(t, h, "ms", "count(//note)"); got != "0" {
 		t.Fatalf("leftover notes: %s", got)
+	}
+}
+
+// TestSlowEditTraced sets a slow-query threshold every request crosses:
+// edits, undos and redos are then traced like queries, and each enters
+// /debug/requests with its write-path stage breakdown.
+func TestSlowEditTraced(t *testing.T) {
+	srv, _, _ := newEditFixture(t, 60, Config{SlowQuery: time.Nanosecond})
+	h := srv.Handler()
+	lo, hi := firstWordSpan(t, h)
+	body := fmt.Sprintf(`{"ops":[{"op":"insert-markup","hierarchy":"annot","tag":"note","start":%d,"end":%d}]}`, lo, hi)
+	for _, path := range []string{"/docs/ms/edit", "/docs/ms/undo", "/docs/ms/redo"} {
+		if w := postPath(t, h, path, body); w.Code != http.StatusOK {
+			t.Fatalf("%s: %d %s", path, w.Code, w.Body.String())
+		}
+	}
+	var recs []RequestRecord
+	if err := json.Unmarshal(get(t, h, "/debug/requests").Body.Bytes(), &recs); err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]bool{"edit": true, "undo": true, "redo": true}
+	for _, r := range recs {
+		if !want[r.Query] {
+			continue
+		}
+		delete(want, r.Query)
+		if r.ID == "" || r.Status != http.StatusOK {
+			t.Errorf("%s record: %+v", r.Query, r)
+		}
+		for _, stage := range []string{"lockWait=", "log=", "apply="} {
+			if !strings.Contains(r.Stages, stage) {
+				t.Errorf("%s record lacks %s: %q", r.Query, stage, r.Stages)
+			}
+		}
+	}
+	if len(want) != 0 {
+		t.Fatalf("ring is missing %v: %+v", want, recs)
 	}
 }

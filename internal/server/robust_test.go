@@ -128,9 +128,9 @@ func TestGateUnlimited(t *testing.T) {
 
 // TestDegradedCatalogSurfaces drives the catalog read-only through the
 // HTTP surface: a disk whose renames always fail degrades two documents
-// (FailThreshold 1, so catalog-wide at 2), after which writes answer
-// 503, /healthz reports degraded, and /stats carries the flag — while
-// queries keep serving.
+// (FailThreshold 1, so catalog-wide at 2) at their first checkpoints,
+// after which writes answer 503, /healthz reports degraded, and /stats
+// carries the flag — while queries keep serving.
 func TestDegradedCatalogSurfaces(t *testing.T) {
 	dir := t.TempDir()
 	for _, id := range []string{"a", "b"} {
@@ -153,14 +153,17 @@ func TestDegradedCatalogSurfaces(t *testing.T) {
 	h := srv.Handler()
 
 	// Every .gdag rename fails from here on; WAL appends still work, so
-	// the edits themselves are durable and answered 200.
+	// the edits themselves are durable and answered 200. Each edit
+	// carries an attribute larger than the documents' files, so its log
+	// record alone makes a checkpoint due — and that checkpoint fails.
 	inj.SetHook(func(op faultfs.Op, path string) error {
 		if op == faultfs.OpRename && strings.HasSuffix(path, ".gdag") {
 			return errors.New("injected: disk full")
 		}
 		return nil
 	})
-	edit := `{"ops":[{"op":"insert-markup","hierarchy":"x","tag":"x","start":0,"end":1}]}`
+	edit := `{"ops":[{"op":"insert-markup","hierarchy":"x","tag":"x","start":0,"end":1,` +
+		`"attrs":{"note":"` + strings.Repeat("n", 64<<10) + `"}}]}`
 	for _, id := range []string{"a", "b"} {
 		if w := postPath(t, h, "/docs/"+id+"/edit", edit); w.Code != http.StatusOK {
 			t.Fatalf("edit %s: status %d: %s", id, w.Code, w.Body.String())

@@ -7,9 +7,9 @@
 // evaluations, so one compiled form is shared by all requests. Writes
 // run under the write lock (catalog.Update): each edit request is one
 // editor transaction — prevalidated per operation, vetoed atomically —
-// whose commit repairs the document's indexes in place and persists the
-// document through the store's atomic save, so a query racing an edit
-// sees either the old or the new state, never a torn one.
+// committed by its fsynced write-ahead-log record, then applied with the
+// document's indexes repaired in place, so a query racing an edit sees
+// either the old or the new state, never a torn one.
 //
 // Endpoints:
 //
@@ -19,7 +19,7 @@
 //	                      adds document structure counts)
 //	DELETE /docs/ID       evict the document (or clear a cached load
 //	                      failure, so a fixed source can reload without a
-//	                      restart); refused for unsaved edits
+//	                      restart); refused for unpersisted edits
 //	POST   /docs/ID/edit  apply a JSON op batch as one transaction
 //	POST   /docs/ID/undo  revert the most recent committed transaction
 //	POST   /docs/ID/redo  re-apply the most recently undone transaction
@@ -27,7 +27,7 @@
 //	GET    /stats         catalog + server counters, per-route latency
 //	                      quantiles
 //	GET    /metrics       Prometheus text exposition of every metric
-//	GET    /debug/requests recent slow/errored queries (bounded ring)
+//	GET    /debug/requests recent slow/errored queries and edits (bounded ring)
 //
 // POST /docs/{id}/edit takes a JSON body with one op batch:
 //
@@ -46,8 +46,11 @@
 // prevalidated against the mid-batch state, and the first failure vetoes
 // the whole batch — the response is then a 422 with the failing op's
 // index and, when prevalidation raised it, the structured violation.
-// Committed batches persist before the response is sent; undo/redo also
-// persist. Config.ReadOnly disables all three write endpoints with 403.
+// Committed batches are durable before the response is sent; undo/redo
+// too. With Config.SlowQuery set, writes are traced like queries: a
+// slow edit, undo or redo logs its lockWait/log/apply/checkpoint
+// breakdown and enters /debug/requests. Config.ReadOnly disables all
+// three write endpoints with 403.
 //
 // POST /query takes a JSON body:
 //
@@ -161,7 +164,8 @@ type Config struct {
 	// evaluation that exhausts it gets 413 (default 0: unlimited).
 	MaxVisited int
 	// SlowQuery logs and counts query evaluations slower than this
-	// (default 0: disabled).
+	// (default 0: disabled). Set, it also traces edits, undos and redos,
+	// and logs those slower than it with their stage breakdown.
 	SlowQuery time.Duration
 	// ReadOnly disables the edit, undo, and redo endpoints (403).
 	ReadOnly bool
@@ -324,35 +328,60 @@ func (s *Server) lifecycleStatus(err error) int {
 // request was traced), and the /debug/requests ring for anything slow
 // or errored. On the warm success path it costs two comparisons.
 func (s *Server) observeQuery(req QueryRequest, tr *obs.Trace, status int, errText string, elapsed time.Duration) {
-	slow := s.cfg.SlowQuery > 0 && elapsed >= s.cfg.SlowQuery
-	if !slow && status < 400 {
-		return
-	}
 	src := req.Query
 	if src == "" {
 		src = req.FLWOR
+	}
+	s.observe(false, req.Doc, src, tr, status, errText, elapsed)
+}
+
+// observe is the accounting shared by queries and writes (edit, undo,
+// redo, with the request named by what): a slow request logs its stage
+// breakdown, and slow or errored ones enter the /debug/requests ring.
+// Only slow queries count toward cx_slow_queries_total.
+func (s *Server) observe(write bool, doc, what string, tr *obs.Trace, status int, errText string, elapsed time.Duration) {
+	slow := s.cfg.SlowQuery > 0 && elapsed >= s.cfg.SlowQuery
+	if !slow && status < 400 {
+		return
 	}
 	var id string
 	if tr != nil {
 		id = tr.ID
 	}
 	if slow {
-		s.slowQueries.Inc()
-		s.logger.Warn("slow query",
-			"id", id, "doc", req.Doc, "query", src,
+		msg := "slow query"
+		if write {
+			msg = "slow edit"
+		} else {
+			s.slowQueries.Inc()
+		}
+		s.logger.Warn(msg,
+			"id", id, "doc", doc, "query", what,
 			"status", status, "elapsed_us", elapsed.Microseconds(),
 			"stages", tr.String())
 	}
 	s.ring.add(RequestRecord{
 		ID:        id,
 		Time:      time.Now().UTC().Format(time.RFC3339),
-		Doc:       req.Doc,
-		Query:     src,
+		Doc:       doc,
+		Query:     what,
 		Status:    status,
 		ElapsedUS: elapsed.Microseconds(),
 		Stages:    tr.String(),
 		Error:     errText,
 	})
+}
+
+// writeTrace starts the stage trace of an edit, undo or redo under the
+// condition queries use for threshold-driven traces (a configured
+// slow-query threshold), attaching it to ctx; otherwise it returns nil
+// and ctx unchanged, and the catalog's stage hooks cost a nil check.
+func (s *Server) writeTrace(ctx context.Context, start time.Time) (context.Context, *obs.Trace) {
+	if s.cfg.SlowQuery <= 0 {
+		return ctx, nil
+	}
+	tr := obs.NewTraceAt(s.nextRequestID(), start)
+	return obs.WithTrace(ctx, tr), tr
 }
 
 // QueryRequest is the POST /query body. The package comment describes
@@ -887,12 +916,14 @@ func (s *Server) handleEdit(w http.ResponseWriter, r *http.Request, id string) {
 	ctx, cancel := s.requestContext(r, 0)
 	defer cancel()
 	start := time.Now()
+	ctx, tr := s.writeTrace(ctx, start)
 	var resp EditResponse
 	// UpdateBatchContext is the crash-safe path: the batch is
-	// write-ahead logged and fsynced before it applies, so a nil return
-	// means the edit survives a crash even if the .gdag save lagged
-	// behind. The context bounds only the wait for the write lock and a
-	// cold load — a batch past its commit point always persists in full.
+	// write-ahead logged and fsynced before it applies — that record is
+	// the commit — so a nil return means the edit survives a crash; the
+	// .gdag file catches up at the next checkpoint. The context bounds
+	// only the wait for the write lock and a cold load: a batch past its
+	// commit point is always carried through.
 	err := s.cat.UpdateBatchContext(ctx, id, req.Ops, func(doc *core.Document) {
 		st := doc.GODDAG().Stats()
 		resp = EditResponse{Doc: id, Applied: len(req.Ops), Elements: st.Elements, Leaves: st.Leaves}
@@ -903,19 +934,22 @@ func (s *Server) handleEdit(w http.ResponseWriter, r *http.Request, id string) {
 		if errors.As(err, &be) {
 			failedOp = be.Index
 		}
-		s.failEdit(w, id, err, failedOp)
+		status := s.failEdit(w, id, err, failedOp)
+		s.observe(true, id, "edit", tr, status, err.Error(), time.Since(start))
 		return
 	}
 	resp.ElapsedUS = time.Since(start).Microseconds()
+	s.observe(true, id, "edit", tr, http.StatusOK, "", time.Since(start))
 	s.ok(w, resp)
 }
 
-// failEdit maps an edit failure to its status code and structured body.
-func (s *Server) failEdit(w http.ResponseWriter, id string, err error, failedOp int) {
+// failEdit maps an edit failure to its status code and structured body,
+// returning the status.
+func (s *Server) failEdit(w http.ResponseWriter, id string, err error, failedOp int) int {
 	var nf *catalog.ErrNotFound
 	if errors.As(err, &nf) {
 		s.fail(w, http.StatusNotFound, "%v", err)
-		return
+		return http.StatusNotFound
 	}
 	if errors.Is(err, catalog.ErrReadOnly) {
 		// Degraded after persistent storage failures; reads still work.
@@ -924,18 +958,18 @@ func (s *Server) failEdit(w http.ResponseWriter, id string, err error, failedOp 
 		// the write path will return.
 		w.Header().Set("Retry-After", "60")
 		s.fail(w, http.StatusServiceUnavailable, "%v", err)
-		return
+		return http.StatusServiceUnavailable
 	}
 	if code := s.lifecycleStatus(err); code != 0 {
 		// The wait for the write lock or a cold load outlived the
 		// request; nothing was applied.
 		s.fail(w, code, "%v", err)
-		return
+		return code
 	}
 	if failedOp < 0 {
 		// Not an op veto: load or persistence failure.
 		s.fail(w, http.StatusInternalServerError, "%v", err)
-		return
+		return http.StatusInternalServerError
 	}
 	resp := EditErrorResponse{Error: err.Error(), Op: failedOp}
 	var viol validate.Violation
@@ -958,6 +992,7 @@ func (s *Server) failEdit(w http.ResponseWriter, id string, err error, failedOp 
 	enc := json.NewEncoder(w)
 	enc.SetEscapeHTML(false)
 	enc.Encode(resp)
+	return http.StatusUnprocessableEntity
 }
 
 func (s *Server) handleHistory(w http.ResponseWriter, r *http.Request, id, action string) {
@@ -972,6 +1007,7 @@ func (s *Server) handleHistory(w http.ResponseWriter, r *http.Request, id, actio
 	ctx, cancel := s.requestContext(r, 0)
 	defer cancel()
 	start := time.Now()
+	ctx, tr := s.writeTrace(ctx, start)
 	var resp EditResponse
 	err := s.cat.UpdateContext(ctx, id, func(doc *core.Document) error {
 		var err error
@@ -989,22 +1025,24 @@ func (s *Server) handleHistory(w http.ResponseWriter, r *http.Request, id, actio
 	})
 	if err != nil {
 		var nf *catalog.ErrNotFound
+		status := http.StatusInternalServerError
 		switch code := s.lifecycleStatus(err); {
 		case errors.As(err, &nf):
-			s.fail(w, http.StatusNotFound, "%v", err)
+			status = http.StatusNotFound
 		case errors.Is(err, catalog.ErrReadOnly):
 			w.Header().Set("Retry-After", "60") // sticky degradation; see failEdit
-			s.fail(w, http.StatusServiceUnavailable, "%v", err)
+			status = http.StatusServiceUnavailable
 		case errors.Is(err, editor.ErrNothingToUndo), errors.Is(err, editor.ErrNothingToRedo):
-			s.fail(w, http.StatusConflict, "%v", err)
+			status = http.StatusConflict
 		case code != 0:
-			s.fail(w, code, "%v", err)
-		default:
-			s.fail(w, http.StatusInternalServerError, "%v", err)
+			status = code
 		}
+		s.observe(true, id, action, tr, status, err.Error(), time.Since(start))
+		s.fail(w, status, "%v", err)
 		return
 	}
 	resp.ElapsedUS = time.Since(start).Microseconds()
+	s.observe(true, id, action, tr, http.StatusOK, "", time.Since(start))
 	s.ok(w, resp)
 }
 

@@ -8,7 +8,8 @@ import (
 )
 
 // FuzzDecode feeds arbitrary (and seeded: truncated, bit-flipped)
-// .gdag and WAL bytes into the two recovery-path readers. Both must
+// .gdag and WAL bytes (both segment versions) into the two
+// recovery-path readers. Both must
 // reject damage with an error — never panic, and never allocate
 // proportionally to a corrupted length field (the fuzzer's OOM limit
 // enforces the latter).
@@ -43,12 +44,34 @@ func FuzzDecode(f *testing.F) {
 		f.Add(mut)
 	}
 
-	// A WAL record region: two framed records, whole and truncated.
+	// A v3 checkpoint: the image with its optional LSN section, whole
+	// and with the LSN payload flipped.
+	ckpt, err := appendV3(nil, doc, 1<<40+7)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(ckpt)
+	flippedLSN := append([]byte(nil), ckpt...)
+	flippedLSN[len(flippedLSN)-3] ^= 0x10
+	f.Add(flippedLSN)
+
+	// Version 2 WAL record regions (LSN-stamped): two framed records,
+	// whole and truncated, one with a bit flipped in its LSN, and a
+	// whole segment with its header.
+	batch := []byte(`{"ops":[{"op":"set-attr","hierarchy":"words","index":0,"name":"k","value":"v"}]}`)
 	var wal []byte
-	wal = appendFrame(wal, RecordOps, 0xdeadbeef, []byte(`{"ops":[{"op":"set-attr","hierarchy":"words","index":0,"name":"k","value":"v"}]}`))
-	wal = appendFrame(wal, RecordSnapshot, 0, gdag.Bytes())
+	wal = appendFrame(wal, RecordOps, 1, batch)
+	wal = appendFrame(wal, RecordSnapshot, 2, gdag.Bytes())
 	f.Add(wal)
 	f.Add(wal[:len(wal)-3])
+	lsnFlip := append([]byte(nil), wal...)
+	lsnFlip[5] ^= 0x01
+	f.Add(lsnFlip)
+	f.Add(append([]byte("GWAL\x02"), wal...))
+	f.Add([]byte("GWAL\x02"))
+	// A version 1 region (fingerprint-stamped), as a crash of an older
+	// binary leaves it.
+	f.Add(appendFrameV1(nil, RecordOps, 0xdeadbeef, batch))
 	f.Add([]byte("GWAL\x01"))
 	f.Add([]byte{})
 
@@ -67,18 +90,21 @@ func FuzzDecode(f *testing.F) {
 				}
 			}
 		}
-		// WAL replay path: the scan never fails, but every record it
-		// returns must re-verify (the frame checksum held).
-		recs, good := ScanWALRecords(data)
-		if good > int64(len(data)) {
-			t.Fatalf("scan claimed %d valid bytes of %d", good, len(data))
-		}
-		if re, _ := ScanWALRecords(data[:good]); len(re) != len(recs) {
-			t.Fatalf("valid prefix rescans to %d records, was %d", len(re), len(recs))
-		}
-		for _, r := range recs {
-			if r.Kind != RecordOps && r.Kind != RecordSnapshot {
-				t.Fatalf("scan surfaced unknown record kind %q", r.Kind)
+		// WAL replay path, both segment versions: the scan never fails,
+		// but every record it returns must re-verify (the frame checksum
+		// held).
+		for _, version := range []byte{walVersion, walV1} {
+			recs, good := scanRecords(data, version)
+			if good > int64(len(data)) {
+				t.Fatalf("v%d scan claimed %d valid bytes of %d", version, good, len(data))
+			}
+			if re, _ := scanRecords(data[:good], version); len(re) != len(recs) {
+				t.Fatalf("v%d valid prefix rescans to %d records, was %d", version, len(re), len(recs))
+			}
+			for _, r := range recs {
+				if r.Kind != RecordOps && r.Kind != RecordSnapshot {
+					t.Fatalf("scan surfaced unknown record kind %q", r.Kind)
+				}
 			}
 		}
 	})

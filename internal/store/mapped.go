@@ -47,6 +47,7 @@ type Mapped struct {
 
 	secs    [secMax + 1]secEntry
 	present [secMax + 1]bool
+	lsn     uint64 // from the optional LSN section, validated at open
 
 	docOnce sync.Once
 	doc     *goddag.Document
@@ -79,6 +80,11 @@ func (m *Mapped) SectionSizes() []int {
 
 // Size reports the total mapped (or buffered) file size.
 func (m *Mapped) Size() int { return m.size }
+
+// LSN reports the commit sequence number the file was checkpointed at:
+// the LSN of the last write-ahead-log record it contains, 0 for a file
+// written outside a checkpoint.
+func (m *Mapped) LSN() uint64 { return m.lsn }
 
 // OpenMappedFile maps path through fsys and validates the v3 header.
 // The mapping is released when the document's structure materializes,
@@ -182,6 +188,13 @@ func openMapped(data []byte) (*Mapped, error) {
 			return nil, fmt.Errorf("store: mapped open: section %d bounds [%d,+%d) invalid", id, off, n)
 		}
 		prevEnd = off + uint64(n)
+		if id == secLSN {
+			p := data[off : off+uint64(n)]
+			if n != 8 || crc32.Checksum(p, crcTable) != crc {
+				return nil, fmt.Errorf("store: mapped open: LSN section invalid")
+			}
+			m.lsn = binary.LittleEndian.Uint64(p)
+		}
 		if id >= 1 && id <= secMax {
 			if m.present[id] {
 				return nil, fmt.Errorf("store: mapped open: duplicate section %d", id)
@@ -189,7 +202,7 @@ func openMapped(data []byte) (*Mapped, error) {
 			m.secs[id] = secEntry{off: int(off), n: int(n), crc: crc}
 			m.present[id] = true
 		}
-		// Unknown ids are tolerated for forward compatibility.
+		// Other unknown ids are tolerated for forward compatibility.
 	}
 	for id := 1; id <= secMax; id++ {
 		if !m.present[id] {

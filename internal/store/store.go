@@ -15,7 +15,9 @@
 // (ordinal tables, document order, name buckets, span segment tree).
 // OpenMapped* validates only header + directory + checksums on the hot
 // metadata, maps the rest, and hands goddag a lazily materializing
-// view; Decode on a v3 stream reads it through the same path.
+// view; Decode on a v3 stream reads it through the same path. A
+// checkpoint (SaveAtLSN) adds an optional section holding the LSN of
+// the last write-ahead-log record the file contains (wal.go).
 //
 // Version 2 is the legacy streaming varint format:
 //
@@ -38,9 +40,9 @@
 // compatibility) falls back to the general InsertElement replay; the two
 // paths build identical structures.
 //
-// Encode still writes v2 — the WAL's snapshot records and fingerprints
-// are v2 streams, and readers for both stay — while Save/SaveFS write
-// v3, so any v2 file migrates to v3 on its next save.
+// Encode still writes v2 — the WAL's snapshot records are v2 streams,
+// and readers for both stay — while Save/SaveFS/SaveAtLSN write v3, so
+// any v2 file migrates to v3 on its next save.
 package store
 
 import (
@@ -111,8 +113,8 @@ func Encode(w io.Writer, doc *goddag.Document) error {
 // Save writes doc to path atomically in the v3 format: it encodes into
 // a temporary file in the target's directory, syncs it, and renames it
 // over the target. A crash or encode failure never leaves a partial
-// file at path — the durability contract the catalog's save-on-commit
-// persistence relies on. Output is deterministic for a given document,
+// file at path — the durability contract the catalog's checkpoints
+// rely on. Output is deterministic for a given document,
 // so saving and reloading reproduces the file byte-identically. Saving
 // a document loaded from a v2 file is the v2→v3 migration.
 func Save(path string, doc *goddag.Document) error {
@@ -126,9 +128,23 @@ func Save(path string, doc *goddag.Document) error {
 // mean "this filesystem does not support directory fsync" are
 // tolerated (the rename is then as durable as the platform allows).
 func SaveFS(fsys faultfs.FS, path string, doc *goddag.Document) error {
+	_, err := SaveAtLSN(fsys, path, doc, 0)
+	return err
+}
+
+// SaveAtLSN is SaveFS for a checkpoint: the file records lsn, the
+// commit sequence number of the last write-ahead-log record the
+// document contains, so replay after a crash applies only the records
+// above it (LSN 0 writes no LSN section, exactly as SaveFS). It returns
+// the file's size.
+func SaveAtLSN(fsys faultfs.FS, path string, doc *goddag.Document, lsn uint64) (int64, error) {
+	data, err := appendV3(nil, doc, lsn)
+	if err != nil {
+		return 0, err
+	}
 	f, err := fsys.CreateTemp(filepath.Dir(path), ".gdag-tmp-*")
 	if err != nil {
-		return fmt.Errorf("store: save: %w", err)
+		return 0, fmt.Errorf("store: save: %w", err)
 	}
 	tmp := f.Name()
 	defer func() {
@@ -136,19 +152,19 @@ func SaveFS(fsys faultfs.FS, path string, doc *goddag.Document) error {
 			fsys.Remove(tmp)
 		}
 	}()
-	if err := EncodeV3(f, doc); err != nil {
+	if _, err := f.Write(data); err != nil {
 		f.Close()
-		return err
+		return 0, fmt.Errorf("store: save: %w", err)
 	}
 	if err := f.Sync(); err != nil {
 		f.Close()
-		return fmt.Errorf("store: save: %w", err)
+		return 0, fmt.Errorf("store: save: %w", err)
 	}
 	if err := f.Close(); err != nil {
-		return fmt.Errorf("store: save: %w", err)
+		return 0, fmt.Errorf("store: save: %w", err)
 	}
 	if err := fsys.Rename(tmp, path); err != nil {
-		return fmt.Errorf("store: save: %w", err)
+		return 0, fmt.Errorf("store: save: %w", err)
 	}
 	tmp = "" // renamed; nothing to clean up
 	// Sync the directory so the rename itself is durable: without it a
@@ -158,13 +174,13 @@ func SaveFS(fsys faultfs.FS, path string, doc *goddag.Document) error {
 	// replayable exactly because this error is not swallowed.
 	dir, err := fsys.Open(filepath.Dir(path))
 	if err != nil {
-		return fmt.Errorf("store: save: sync dir: %w", err)
+		return 0, fmt.Errorf("store: save: sync dir: %w", err)
 	}
 	if err := dir.Sync(); err != nil && !unsupportedSync(err) {
 		dir.Close()
-		return fmt.Errorf("store: save: sync dir: %w", err)
+		return 0, fmt.Errorf("store: save: sync dir: %w", err)
 	}
-	return dir.Close()
+	return int64(len(data)), dir.Close()
 }
 
 // unsupportedSync reports errnos meaning the filesystem cannot fsync a

@@ -48,6 +48,12 @@ const (
 
 	secMax        = secBuckets
 	v3MaxSections = 64
+
+	// secLSN is optional and outside the required range: a u64, the
+	// commit sequence number of the last WAL record the file contains.
+	// Checkpoints write it; a file without it (an ingest save, or one
+	// written before LSNs existed) is at LSN 0.
+	secLSN = 20
 )
 
 // EncodeV3 writes the document in the v3 section-table format. The
@@ -55,7 +61,7 @@ const (
 // or counts exceed the u32 coordinate space are rejected (v2's varint
 // form has the same practical bound via maxString).
 func EncodeV3(w io.Writer, doc *goddag.Document) error {
-	data, err := appendV3(nil, doc)
+	data, err := appendV3(nil, doc, 0)
 	if err != nil {
 		return err
 	}
@@ -65,8 +71,9 @@ func EncodeV3(w io.Writer, doc *goddag.Document) error {
 	return nil
 }
 
-// appendV3 appends the complete v3 image of doc to buf.
-func appendV3(buf []byte, doc *goddag.Document) ([]byte, error) {
+// appendV3 appends the complete v3 image of doc to buf, with an LSN
+// section when lsn is non-zero.
+func appendV3(buf []byte, doc *goddag.Document, lsn uint64) ([]byte, error) {
 	if doc.Content().Len() > math.MaxInt32 {
 		return nil, fmt.Errorf("store: encode v3: content too large (%d bytes)", doc.Content().Len())
 	}
@@ -144,6 +151,12 @@ func appendV3(buf []byte, doc *goddag.Document) ([]byte, error) {
 		{secOrder, u32Bytes(cols.Order)},
 		{secSpanMax, i32Bytes(cols.SpanMax)},
 		{secBuckets, u32Bytes(buckets)},
+	}
+	if lsn != 0 {
+		sections = append(sections, struct {
+			id   uint32
+			data []byte
+		}{secLSN, binary.LittleEndian.AppendUint64(nil, lsn)})
 	}
 
 	// Header + directory.

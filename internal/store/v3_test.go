@@ -3,9 +3,12 @@ package store
 import (
 	"bytes"
 	"errors"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"repro/internal/corpus"
+	"repro/internal/faultfs"
 	"repro/internal/goddag"
 	"repro/internal/xpath"
 )
@@ -331,5 +334,61 @@ func TestV3RejectsUnsupportedVersion(t *testing.T) {
 	mut[4] = 9
 	if _, err := OpenMappedBytes(mut); err == nil || errors.Is(err, ErrV2) {
 		t.Fatalf("future version: got %v", err)
+	}
+}
+
+// TestSaveAtLSNRecordsCheckpoint saves a checkpoint and reads its LSN
+// back from the mapped header; the document is unchanged by the extra
+// section, and a plain save (LSN 0) writes exactly EncodeV3's image.
+func TestSaveAtLSNRecordsCheckpoint(t *testing.T) {
+	doc, err := corpus.Generate(corpus.DefaultConfig(200))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	path := filepath.Join(dir, "d.gdag")
+	size, err := SaveAtLSN(faultfs.OS, path, doc, 1<<33+5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := OpenMappedFile(faultfs.OS, path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.LSN() != 1<<33+5 || int64(m.Size()) != size {
+		t.Fatalf("checkpoint LSN %d size %d, want %d and %d", m.LSN(), m.Size(), uint64(1<<33+5), size)
+	}
+	back, err := m.Document()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if goddag.Dump(back) != goddag.Dump(doc) {
+		t.Fatal("checkpoint does not reproduce the document")
+	}
+
+	plain := filepath.Join(dir, "p.gdag")
+	if err := SaveFS(faultfs.OS, plain, doc); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(plain)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(data, encodeV3Bytes(t, doc)) {
+		t.Fatal("SaveFS image differs from EncodeV3")
+	}
+	if m, err := OpenMappedBytes(data); err != nil || m.LSN() != 0 {
+		t.Fatalf("plain save opens at LSN %v (%v), want 0", m, err)
+	}
+
+	// A damaged LSN section fails the open instead of reading as some
+	// other sequence number.
+	ckpt, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ckpt[len(ckpt)-1] ^= 0x01
+	if _, err := OpenMappedBytes(ckpt); err == nil {
+		t.Fatal("flipped LSN accepted")
 	}
 }

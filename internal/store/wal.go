@@ -1,18 +1,20 @@
-// Write-ahead log for edit transactions. Each catalogued document gets
-// one append-only segment (<id>.wal) next to its .gdag file: the edit
-// path appends the serialized op batch (the HTTP edit wire format,
-// package editor's Batch) and fsyncs it BEFORE the batch is applied and
-// the document's indexes repaired, so a crash anywhere between commit
-// and the next successful atomic save loses nothing — reopening replays
-// the surviving tail through the transaction API. A successful save
-// resets the log to empty; the log therefore only grows while saves
-// fail.
+// Write-ahead log for edit transactions, and the catalog's one commit
+// point. Each catalogued document gets one append-only segment
+// (<id>.wal) next to its .gdag file. The edit path appends the
+// serialized op batch (the HTTP edit wire format, package editor's
+// Batch) stamped with the document's next commit sequence number (LSN)
+// and fsyncs it BEFORE the batch is applied: once that fsync returns,
+// the edit is committed. The .gdag file is only a checkpoint — a full
+// atomic save, stamped with the LSN of the last record it contains
+// (see SaveAtLSN), after which the log is reset. Checkpoints run when
+// the log outgrows its base file, after a fixed number of records, and
+// at shutdown; between them the log is what makes edits durable.
 //
-// Segment layout:
+// Segment layout (version 2):
 //
 //	header:  magic "GWAL", version byte
 //	records: kind byte ('O' op batch JSON, 'S' full-document snapshot),
-//	         pre-state fingerprint (4 bytes BE, see Fingerprint),
+//	         LSN (8 bytes BE),
 //	         payload length (uvarint), payload,
 //	         CRC-32 (Castagnoli) of everything since the kind byte (4 bytes BE)
 //
@@ -22,14 +24,18 @@
 // time) damage can only be a tail, which OpenWAL truncates away. That
 // is exactly the state a power cut mid-append leaves behind.
 //
-// The pre-state fingerprint makes replay exactly-once: an op-batch
-// record only applies when the document it is replayed onto has the
-// fingerprint the batch was logged against. If a crash lands in the
-// small window where the save's rename committed but the log reset did
-// not (or the rename's directory sync failed), the stale records'
-// fingerprints no longer match the saved base and replay skips them
-// instead of applying the batch twice. Snapshot records carry the
-// post-state document wholesale and need no fingerprint.
+// The LSN makes replay exactly-once: replay applies, in order, only the
+// records whose LSN is above the one stamped in the base file. If a
+// crash lands between a checkpoint's rename and the log reset (or the
+// rename's directory sync failed), the stale records are at or below
+// the new base's LSN and replay skips them instead of applying them
+// twice. Snapshot records carry the post-state document wholesale.
+//
+// Version 1 segments, written before LSNs existed, stamped each op
+// record with the fingerprint of the state it was logged against (see
+// Fingerprint). OpenWAL still reads them so a segment left by a crash
+// of an older binary replays once; such a segment accepts no appends
+// until Reset rewrites it as version 2.
 //
 // A WAL is single-writer: the catalog serializes appends under each
 // document's write lock. Appends that fail part-way rewind the file to
@@ -50,7 +56,8 @@ import (
 // WAL segment format constants.
 const (
 	walMagic   = "GWAL"
-	walVersion = 1
+	walVersion = 2
+	walV1      = 1 // fingerprint-stamped records, read for migration only
 
 	// WALHeaderLen is the byte length of the segment header; an empty
 	// (fully truncated) log is exactly this long.
@@ -65,20 +72,22 @@ const (
 	// RecordOps is a serialized editor op batch (editor.Batch JSON, the
 	// same bytes the HTTP edit endpoint accepts), logged before the
 	// batch is applied. Replay re-applies it through the transaction
-	// API when the pre-state fingerprint matches.
+	// API.
 	RecordOps RecordKind = 'O'
 	// RecordSnapshot is a full document in the .gdag encoding, logged
 	// after an edit whose effect is not expressible as an op batch
 	// (undo, redo, arbitrary Update closures). Replay replaces the
-	// document wholesale, which is naturally idempotent.
+	// document wholesale.
 	RecordSnapshot RecordKind = 'S'
 )
 
 // Record is one recovered WAL entry.
 type Record struct {
 	Kind RecordKind
-	// Pre is the fingerprint of the document state the record was
-	// logged against (RecordOps only).
+	// LSN is the record's commit sequence number (version 2 segments).
+	LSN uint64
+	// Pre is the fingerprint of the document state a version 1 op
+	// record was logged against; zero in version 2 segments.
 	Pre uint32
 	// Payload is the record body: editor.Batch JSON or .gdag bytes.
 	Payload []byte
@@ -86,10 +95,11 @@ type Record struct {
 
 // WAL is one open write-ahead log segment.
 type WAL struct {
-	fsys faultfs.FS
-	path string
-	f    faultfs.File
-	size int64 // header + complete durable records
+	fsys    faultfs.FS
+	path    string
+	f       faultfs.File
+	size    int64 // header + complete durable records
+	version byte  // walV1 until Reset rewrites an old segment
 }
 
 // maxWALRecord bounds a single record payload against corrupted length
@@ -105,7 +115,7 @@ func OpenWAL(fsys faultfs.FS, path string) (*WAL, []Record, error) {
 	if err != nil {
 		return nil, nil, fmt.Errorf("store: wal %s: %w", path, err)
 	}
-	w := &WAL{fsys: fsys, path: path, f: f}
+	w := &WAL{fsys: fsys, path: path, f: f, version: walVersion}
 	data, err := io.ReadAll(f)
 	if err != nil {
 		f.Close()
@@ -119,11 +129,20 @@ func OpenWAL(fsys faultfs.FS, path string) (*WAL, []Record, error) {
 		}
 		return w, nil, nil
 	}
-	if string(data[:4]) != walMagic || data[4] != walVersion {
+	if string(data[:4]) != walMagic || (data[4] != walVersion && data[4] != walV1) {
 		f.Close()
 		return nil, nil, fmt.Errorf("store: wal %s: bad header %q version %d", path, data[:4], data[4])
 	}
-	recs, good := ScanWALRecords(data[WALHeaderLen:])
+	w.version = data[4]
+	recs, good := scanRecords(data[WALHeaderLen:], w.version)
+	if w.version == walV1 && len(recs) == 0 {
+		// Nothing to migrate: start the segment over as version 2.
+		if err := w.reinit(); err != nil {
+			f.Close()
+			return nil, nil, err
+		}
+		return w, nil, nil
+	}
 	w.size = WALHeaderLen + good
 	if int64(len(data)) > w.size {
 		// Torn tail from a crash mid-append: cut it so the segment ends
@@ -136,50 +155,67 @@ func OpenWAL(fsys faultfs.FS, path string) (*WAL, []Record, error) {
 	return w, recs, nil
 }
 
-// ScanWALRecords parses the record region of a WAL segment (everything
-// after the header), returning the complete records and the byte length
-// of the valid prefix. The scan stops at the first incomplete or
-// checksum-failing record — appends are sequential, so any damage is a
-// tail. It never fails: corrupt input just shortens the valid prefix.
+// ScanWALRecords parses the record region of a version 2 segment
+// (everything after the header), returning the complete records and the
+// byte length of the valid prefix. The scan stops at the first
+// incomplete or checksum-failing record — appends are sequential, so
+// any damage is a tail. It never fails: corrupt input just shortens the
+// valid prefix.
 func ScanWALRecords(data []byte) ([]Record, int64) {
+	return scanRecords(data, walVersion)
+}
+
+// scanRecords is ScanWALRecords for either segment version: the frames
+// differ only in the stamp after the kind byte (an 8-byte LSN in
+// version 2, a 4-byte fingerprint in version 1).
+func scanRecords(data []byte, version byte) ([]Record, int64) {
+	stamp := 8
+	if version == walV1 {
+		stamp = 4
+	}
 	var recs []Record
 	off := int64(0)
 	for off < int64(len(data)) {
 		rest := data[off:]
-		// kind(1) + pre(4) + len(>=1) + crc(4)
-		if len(rest) < 10 {
+		// kind(1) + stamp + len(>=1) + crc(4)
+		if len(rest) < 1+stamp+1+4 {
 			break
 		}
 		kind := RecordKind(rest[0])
 		if kind != RecordOps && kind != RecordSnapshot {
 			break
 		}
-		pre := binary.BigEndian.Uint32(rest[1:5])
-		n, ln := binary.Uvarint(rest[5:])
+		r := Record{Kind: kind}
+		if version == walV1 {
+			r.Pre = binary.BigEndian.Uint32(rest[1:5])
+		} else {
+			r.LSN = binary.BigEndian.Uint64(rest[1:9])
+		}
+		n, ln := binary.Uvarint(rest[1+stamp:])
 		if ln <= 0 || n > maxWALRecord {
 			break
 		}
-		body := 1 + 4 + ln + int(n)
+		body := 1 + stamp + ln + int(n)
 		if int64(body)+4 > int64(len(rest)) {
 			break
 		}
-		payload := rest[5+ln : body]
 		want := binary.BigEndian.Uint32(rest[body : body+4])
 		if crc32.Checksum(rest[:body], crcTable) != want {
 			break
 		}
-		recs = append(recs, Record{Kind: kind, Pre: pre, Payload: payload})
+		r.Payload = rest[1+stamp+ln : body]
+		recs = append(recs, r)
 		off += int64(body) + 4
 	}
 	return recs, off
 }
 
-// appendFrame appends one framed record to dst: kind, pre-state
-// fingerprint, uvarint payload length, payload, CRC over all of it.
-func appendFrame(dst []byte, kind RecordKind, pre uint32, payload []byte) []byte {
+// appendFrame appends one framed version 2 record to dst: kind, LSN,
+// uvarint payload length, payload, CRC over all of it.
+func appendFrame(dst []byte, kind RecordKind, lsn uint64, payload []byte) []byte {
 	start := len(dst)
 	dst = append(dst, byte(kind))
-	dst = binary.BigEndian.AppendUint32(dst, pre)
+	dst = binary.BigEndian.AppendUint64(dst, lsn)
 	dst = binary.AppendUvarint(dst, uint64(len(payload)))
 	dst = append(dst, payload...)
 	return binary.BigEndian.AppendUint32(dst, crc32.Checksum(dst[start:], crcTable))
@@ -201,6 +237,7 @@ func (w *WAL) reinit() error {
 		return fmt.Errorf("store: wal %s: %w", w.path, err)
 	}
 	w.size = WALHeaderLen
+	w.version = walVersion
 	return nil
 }
 
@@ -211,17 +248,41 @@ func (w *WAL) Size() int64 { return w.size }
 // Empty reports whether the segment holds no records.
 func (w *WAL) Empty() bool { return w.size <= WALHeaderLen }
 
+// Legacy reports a version 1 segment, opened to replay its records
+// once: it takes no appends until Reset rewrites it as version 2.
+func (w *WAL) Legacy() bool { return w.version == walV1 }
+
 // Path returns the segment's file path.
 func (w *WAL) Path() string { return w.path }
+
+// Records re-reads the segment's durable records through the open
+// handle — the replay input for a document reloaded after eviction,
+// whose log was scanned (and its tail repaired) when it was opened.
+func (w *WAL) Records() ([]Record, error) {
+	if _, err := w.f.Seek(0, io.SeekStart); err != nil {
+		return nil, fmt.Errorf("store: wal %s: %w", w.path, err)
+	}
+	data := make([]byte, w.size)
+	if _, err := io.ReadFull(w.f, data); err != nil {
+		return nil, fmt.Errorf("store: wal %s: %w", w.path, err)
+	}
+	recs, _ := scanRecords(data[WALHeaderLen:], w.version)
+	return recs, nil
+}
 
 // Append frames, writes, and fsyncs one record. On failure it rewinds
 // the file to the previous durable boundary (best-effort) and the
 // caller must treat the record as NOT logged: after a write or sync
 // error the on-disk state is indeterminate until the rewind, which
 // restores it. Only a successful Append makes the record durable — it
-// is the commit point of the logged-edit path.
-func (w *WAL) Append(kind RecordKind, pre uint32, payload []byte) error {
-	frame := appendFrame(make([]byte, 0, 1+4+binary.MaxVarintLen64+len(payload)+4), kind, pre, payload)
+// is the commit point of the logged-edit path. A version 1 segment
+// accepts no appends: its records carry no LSNs, so the caller must
+// checkpoint and Reset it first.
+func (w *WAL) Append(kind RecordKind, lsn uint64, payload []byte) error {
+	if w.version != walVersion {
+		return fmt.Errorf("store: wal append: %s is a version %d segment; reset it first", w.path, w.version)
+	}
+	frame := appendFrame(make([]byte, 0, 1+8+binary.MaxVarintLen64+len(payload)+4), kind, lsn, payload)
 	if _, err := w.f.Seek(w.size, io.SeekStart); err != nil {
 		return fmt.Errorf("store: wal append: %w", err)
 	}
@@ -240,10 +301,9 @@ func (w *WAL) Append(kind RecordKind, pre uint32, payload []byte) error {
 // rewind truncates back to the durable size after a failed append,
 // best-effort: if the truncate itself fails, the tail is torn and the
 // next OpenWAL's scan will cut it (the record's checksum only went to
-// disk if the full frame did — and a complete frame is re-skipped at
-// replay only if its pre-state fingerprint still matches, which an
-// error-reported batch legitimately does: re-applying it is the
-// documented at-least-once outcome of an indeterminate append).
+// disk if the full frame did — and a complete frame above the base's
+// LSN replays, the documented at-least-once outcome of an
+// indeterminate append).
 func (w *WAL) rewind() {
 	_ = w.fsys.Truncate(w.path, w.size)
 }
@@ -266,13 +326,14 @@ func (w *WAL) Rewind(size int64) error {
 	return nil
 }
 
-// Reset empties the segment after a successful save: the .gdag file now
-// carries the state, so the log's records are spent.
+// Reset empties the segment after a successful checkpoint: the .gdag
+// file now carries the state, so the log's records are spent. A version
+// 1 segment is rewritten with a version 2 header.
 func (w *WAL) Reset() error {
-	if err := w.Rewind(WALHeaderLen); err != nil {
-		return err
+	if w.version != walVersion {
+		return w.reinit()
 	}
-	return nil
+	return w.Rewind(WALHeaderLen)
 }
 
 // Close releases the file handle. The segment stays on disk for the
@@ -280,10 +341,10 @@ func (w *WAL) Reset() error {
 func (w *WAL) Close() error { return w.f.Close() }
 
 // Fingerprint summarizes a document's exact persisted state: the
-// CRC-32 (Castagnoli) of its deterministic Encode stream. The WAL
-// stamps each op-batch record with the fingerprint of the state the
-// batch was logged against, so replay is exactly-once (see the package
-// comment). Cost is one encode pass with no I/O.
+// CRC-32 (Castagnoli) of its deterministic Encode stream. Version 1
+// WAL segments stamp each op-batch record with the fingerprint of the
+// state it was logged against, so replaying one needs it. Cost is one
+// encode pass with no I/O.
 func Fingerprint(doc *goddag.Document) uint32 {
 	h := crc32.New(crcTable)
 	// Encode to the hash alone: bufio over a hash cannot fail.

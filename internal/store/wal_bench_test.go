@@ -23,7 +23,7 @@ func BenchmarkWALAppend(b *testing.B) {
 	b.SetBytes(int64(len(payload)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := w.Append(RecordOps, uint32(i), payload); err != nil {
+		if err := w.Append(RecordOps, uint64(i+1), payload); err != nil {
 			b.Fatal(err)
 		}
 		if w.Size() > 1<<20 {
@@ -55,7 +55,7 @@ func BenchmarkSaveOnCommit(b *testing.B) {
 	}
 }
 
-// BenchmarkFingerprint measures the exactly-once-replay stamp: one
+// BenchmarkFingerprint measures the version 1 WAL replay stamp: one
 // encode pass with no I/O over the same words=8000/h=4 document.
 func BenchmarkFingerprint(b *testing.B) {
 	cfg := corpus.DefaultConfig(8000)

@@ -2,7 +2,9 @@ package store
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"testing"
@@ -30,13 +32,13 @@ func TestWALRoundTrip(t *testing.T) {
 		[]byte(`{"ops":[{"op":"set-attr"}]}`),
 		[]byte(`{"ops":[{"op":"insert-markup","tag":"w"}]}`),
 	}
-	if err := w.Append(RecordOps, 0x11111111, batches[0]); err != nil {
+	if err := w.Append(RecordOps, 1, batches[0]); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Append(RecordOps, 0x22222222, batches[1]); err != nil {
+	if err := w.Append(RecordOps, 2, batches[1]); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Append(RecordSnapshot, 0, []byte("GDAGsnap")); err != nil {
+	if err := w.Append(RecordSnapshot, 3, []byte("GDAGsnap")); err != nil {
 		t.Fatal(err)
 	}
 	w.Close()
@@ -45,13 +47,13 @@ func TestWALRoundTrip(t *testing.T) {
 	if len(recs) != 3 {
 		t.Fatalf("reopened with %d records, want 3", len(recs))
 	}
-	if recs[0].Kind != RecordOps || recs[0].Pre != 0x11111111 || !bytes.Equal(recs[0].Payload, batches[0]) {
+	if recs[0].Kind != RecordOps || recs[0].LSN != 1 || !bytes.Equal(recs[0].Payload, batches[0]) {
 		t.Fatalf("record 0 = %+v", recs[0])
 	}
-	if recs[1].Pre != 0x22222222 || !bytes.Equal(recs[1].Payload, batches[1]) {
+	if recs[1].LSN != 2 || !bytes.Equal(recs[1].Payload, batches[1]) {
 		t.Fatalf("record 1 = %+v", recs[1])
 	}
-	if recs[2].Kind != RecordSnapshot || string(recs[2].Payload) != "GDAGsnap" {
+	if recs[2].Kind != RecordSnapshot || recs[2].LSN != 3 || string(recs[2].Payload) != "GDAGsnap" {
 		t.Fatalf("record 2 = %+v", recs[2])
 	}
 
@@ -67,7 +69,7 @@ func TestWALRoundTrip(t *testing.T) {
 	}
 	w2.Close()
 	_, recs = openTestWAL(t, faultfs.OS, path)
-	if len(recs) != 1 || recs[0].Pre != 7 {
+	if len(recs) != 1 || recs[0].LSN != 7 {
 		t.Fatalf("after reset+append: %+v", recs)
 	}
 }
@@ -82,7 +84,7 @@ func TestWALTornTailTruncated(t *testing.T) {
 	payloads := [][]byte{[]byte("first"), []byte("second-longer"), []byte("third")}
 	offsets := []int64{w.Size()} // durable size after 0,1,2,3 records
 	for i, p := range payloads {
-		if err := w.Append(RecordOps, uint32(i), p); err != nil {
+		if err := w.Append(RecordOps, uint64(i+1), p); err != nil {
 			t.Fatal(err)
 		}
 		offsets = append(offsets, w.Size())
@@ -210,5 +212,93 @@ func TestWALVetoRewind(t *testing.T) {
 	}
 	if len(recs) != 1 || string(recs[0].Payload) != "committed" {
 		t.Fatalf("after veto rewind: %+v", recs)
+	}
+}
+
+// appendFrameV1 frames a version 1 record (4-byte fingerprint stamp),
+// the layout segments had before LSNs.
+func appendFrameV1(dst []byte, kind RecordKind, pre uint32, payload []byte) []byte {
+	start := len(dst)
+	dst = append(dst, byte(kind))
+	dst = binary.BigEndian.AppendUint32(dst, pre)
+	dst = binary.AppendUvarint(dst, uint64(len(payload)))
+	dst = append(dst, payload...)
+	return binary.BigEndian.AppendUint32(dst, crc32.Checksum(dst[start:], crcTable))
+}
+
+// TestWALV1SegmentMigrates opens a version 1 segment: its records come
+// back with their fingerprints, it refuses appends, and Reset rewrites
+// it as an empty version 2 segment that takes LSN-stamped records.
+func TestWALV1SegmentMigrates(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "d.wal")
+	seg := append([]byte("GWAL\x01"), appendFrameV1(nil, RecordOps, 0xabcd1234, []byte("old-batch"))...)
+	seg = appendFrameV1(seg, RecordSnapshot, 0, []byte("old-snap"))
+	if err := os.WriteFile(path, seg, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	w, recs := openTestWAL(t, faultfs.OS, path)
+	if !w.Legacy() || len(recs) != 2 {
+		t.Fatalf("v1 open: legacy=%v, %d records", w.Legacy(), len(recs))
+	}
+	if recs[0].Pre != 0xabcd1234 || recs[0].LSN != 0 || string(recs[0].Payload) != "old-batch" ||
+		recs[1].Kind != RecordSnapshot || string(recs[1].Payload) != "old-snap" {
+		t.Fatalf("v1 records = %+v", recs)
+	}
+	if err := w.Append(RecordOps, 1, []byte("new")); err == nil {
+		t.Fatal("append to a version 1 segment succeeded")
+	}
+	if err := w.Reset(); err != nil {
+		t.Fatal(err)
+	}
+	if w.Legacy() || !w.Empty() {
+		t.Fatalf("after reset: legacy=%v empty=%v", w.Legacy(), w.Empty())
+	}
+	if err := w.Append(RecordOps, 1, []byte("new")); err != nil {
+		t.Fatal(err)
+	}
+	w.Close()
+	w2, recs := openTestWAL(t, faultfs.OS, path)
+	if w2.Legacy() || len(recs) != 1 || recs[0].LSN != 1 || string(recs[0].Payload) != "new" {
+		t.Fatalf("reopened migrated segment: legacy=%v %+v", w2.Legacy(), recs)
+	}
+
+	// An empty version 1 segment has nothing to migrate and opens as
+	// version 2 straight away.
+	empty := filepath.Join(t.TempDir(), "e.wal")
+	if err := os.WriteFile(empty, []byte("GWAL\x01"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	w3, _ := openTestWAL(t, faultfs.OS, empty)
+	if w3.Legacy() {
+		t.Fatal("empty v1 segment still legacy")
+	}
+	if err := w3.Append(RecordOps, 1, []byte("x")); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestWALRecordsThroughHandle re-reads records through the open handle,
+// as a reload after eviction does, and gets what a reopen would scan.
+func TestWALRecordsThroughHandle(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "d.wal")
+	w, _ := openTestWAL(t, faultfs.OS, path)
+	for i, p := range []string{"one", "two", "three"} {
+		if err := w.Append(RecordOps, uint64(i+1), []byte(p)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	recs, err := w.Records()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != 3 || recs[2].LSN != 3 || string(recs[2].Payload) != "three" {
+		t.Fatalf("records through handle = %+v", recs)
+	}
+	// Appends after a re-read still extend the segment at its end.
+	if err := w.Append(RecordOps, 4, []byte("four")); err != nil {
+		t.Fatal(err)
+	}
+	if recs, _ = w.Records(); len(recs) != 4 || string(recs[3].Payload) != "four" {
+		t.Fatalf("after append: %+v", recs)
 	}
 }

@@ -590,16 +590,23 @@ func (ev *evaluator) evalPath(p *pathExpr, ctx evalCtx) (Value, error) {
 			if !isLast {
 				return Value{}, ev.errorf("attribute step must be last")
 			}
+			// The owners' attributes are read in place: a name test looks
+			// its attribute up, @* walks them by index.
 			var attrs []AttrNode
 			for _, n := range current {
 				el, ok := n.(*goddag.Element)
 				if !ok {
 					continue
 				}
-				for _, a := range el.Attrs() {
-					if st.test.kind == testAny || a.Name == st.test.name {
-						attrs = append(attrs, AttrNode{Owner: el, Name: a.Name, Value: a.Value})
+				if st.test.kind != testAny {
+					if v, ok := el.Attr(st.test.name); ok {
+						attrs = append(attrs, AttrNode{Owner: el, Name: st.test.name, Value: v})
 					}
+					continue
+				}
+				for i := 0; i < el.NumAttrs(); i++ {
+					a := el.AttrAt(i)
+					attrs = append(attrs, AttrNode{Owner: el, Name: a.Name, Value: a.Value})
 				}
 			}
 			// Predicates on attributes: only positional/string predicates
